@@ -13,7 +13,7 @@ is recorded, not asserted from memory.  Run standalone with::
     PYTHONPATH=src python benchmarks/bench_rpq_engine.py
 
 or via pytest (the equality checks plus the >= 3x compiled-vs-seed
-gate and the >= 1.3x specialized-closure product-BFS gate then run).
+gate then run).
 """
 
 import json
@@ -22,12 +22,7 @@ import pathlib
 import random
 import time
 
-from repro.graphs.engine import (
-    clear_plan_cache,
-    compile_rpq,
-    configure_specialization,
-    plan_cache_info,
-)
+from repro.graphs.engine import clear_plan_cache, plan_cache_info
 from repro.graphs.generator import foaf_rdf
 from repro.graphs.paths import evaluate_rpq, evaluate_rpq_reference
 from repro.regex.ast import Concat, Optional, Plus, Star, Symbol, Union
@@ -122,111 +117,6 @@ def run_workload(store, cyclic_store, sources, evaluate):
     return answers, timings
 
 
-def run_specialization_benchmark(store, cyclic_store, sources):
-    """Generic vs specialized product-BFS, stripped of the shared
-    answer-assembly both paths pay identically: each phase times the
-    plan's generic ``_bfs_hits_dfa``/``_bfs_hits_nfa`` against the
-    specialized closure on the same sources, checking hit-set equality
-    first.  The cyclic multi-source propagation is A/B'd the same way
-    via :func:`configure_specialization` and reported separately — it
-    is a different algorithm, not a product BFS."""
-    phases = {}
-    generic_total = specialized_total = 0.0
-
-    def measure(name, plan, steps, ids):
-        nonlocal generic_total, specialized_total
-        special = plan._specialized(steps)
-        if plan.dfa_table is not None:
-            generic = lambda sid: plan._bfs_hits_dfa(sid, steps)
-        else:
-            generic = lambda sid: plan._bfs_hits_nfa(sid, steps)
-        for sid in ids[:50]:
-            assert generic(sid) == special.bfs_hits(sid), name
-        best_generic = best_special = float("inf")
-        for _round in range(NUM_ROUNDS):
-            started = time.perf_counter()
-            for sid in ids:
-                generic(sid)
-            best_generic = min(
-                best_generic, time.perf_counter() - started
-            )
-            started = time.perf_counter()
-            for sid in ids:
-                special.bfs_hits(sid)
-            best_special = min(
-                best_special, time.perf_counter() - started
-            )
-        generic_total += best_generic
-        specialized_total += best_special
-        phases[name] = {
-            "generic_seconds": round(best_generic, 4),
-            "specialized_seconds": round(best_special, 4),
-            "speedup": round(best_generic / max(best_special, 1e-9), 2),
-        }
-
-    source_ids = [store.node_id(source) for source in sources]
-    for name, expr in EXPRESSIONS.items():
-        plan = compile_rpq(expr)
-        measure(name, plan, plan._resolve_atoms(store), source_ids)
-    for name, expr in ALL_PAIRS_EXPRESSIONS.items():
-        plan = compile_rpq(expr)
-        steps = plan._resolve_atoms(store)
-        measure(
-            f"all-pairs:{name}",
-            plan,
-            steps,
-            plan._productive_source_ids(steps),
-        )
-
-    plan = compile_rpq(CYCLIC_EXPRESSION)
-    steps = plan._resolve_atoms(cyclic_store)
-    names = cyclic_store.node_names()
-    productive = plan._productive_source_ids(steps)
-
-    def propagate():
-        answers = set()
-        plan._all_pairs_propagate(names, productive, steps, None, answers)
-        return answers
-
-    best_generic = best_special = float("inf")
-    try:
-        configure_specialization(False)
-        reference = propagate()
-        for _round in range(NUM_ROUNDS):
-            started = time.perf_counter()
-            propagate()
-            best_generic = min(
-                best_generic, time.perf_counter() - started
-            )
-        configure_specialization(True)
-        assert propagate() == reference, "propagation disagrees"
-        for _round in range(NUM_ROUNDS):
-            started = time.perf_counter()
-            propagate()
-            best_special = min(
-                best_special, time.perf_counter() - started
-            )
-    finally:
-        configure_specialization(True)
-
-    return {
-        "bfs_generic_seconds": round(generic_total, 4),
-        "bfs_specialized_seconds": round(specialized_total, 4),
-        "bfs_speedup": round(
-            generic_total / max(specialized_total, 1e-9), 2
-        ),
-        "propagate_generic_seconds": round(best_generic, 4),
-        "propagate_specialized_seconds": round(best_special, 4),
-        "propagate_speedup": round(
-            best_generic / max(best_special, 1e-9), 2
-        ),
-        "per_phase": phases,
-    }
-
-
-_CACHED_RESULT = None
-
-
 def run_benchmark():
     store, cyclic_store, sources = build_workload()
     seed_answers, seed_timings = run_workload(
@@ -260,37 +150,18 @@ def run_benchmark():
             for name in seed_timings
         },
         "plan_cache": plan_cache_info(),
-        "specialization": run_specialization_benchmark(
-            store, cyclic_store, sources
-        ),
     }
     RESULTS_PATH.parent.mkdir(exist_ok=True)
     RESULTS_PATH.write_text(json.dumps(result, indent=2) + "\n")
     print("\n===== rpq_engine =====")
     print(json.dumps(result, indent=2))
-    global _CACHED_RESULT
-    _CACHED_RESULT = result
     return result
 
 
-def _benchmark_result():
-    # both gates share one run: the workload is expensive to evaluate
-    # twice and the gates assert over the same artifact anyway
-    return _CACHED_RESULT if _CACHED_RESULT is not None else run_benchmark()
-
-
 def test_rpq_engine_speedup():
-    result = _benchmark_result()
+    result = run_benchmark()
     assert result["triples"] >= 50_000
     assert result["speedup"] >= 3.0, result
-
-
-def test_rpq_specialization_speedup():
-    result = _benchmark_result()
-    specialization = result["specialization"]
-    assert specialization["bfs_speedup"] >= 1.3, specialization
-    # the cyclic propagation rows must never regress the generic path
-    assert specialization["propagate_speedup"] >= 0.9, specialization
 
 
 if __name__ == "__main__":

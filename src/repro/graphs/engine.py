@@ -67,24 +67,6 @@ _DFA_BLOWUP_LIMIT = 512
 #: Bound on the per-plan (label, state-set) -> state-set step memo.
 _STEP_MEMO_LIMIT = 8192
 
-#: Whether plans compile specialized step closures (see
-#: :func:`configure_specialization`); on by default, switchable so the
-#: benchmark can measure generic vs specialized dispatch in one process.
-_specialization_enabled = True
-
-
-def configure_specialization(enabled: bool) -> None:
-    """Toggle the per-plan specialized step closures.
-
-    With specialization off every evaluation uses the generic automaton
-    dispatch (label lookups against the transition tables per frontier
-    item).  The already-built closures stay cached on their plans and
-    are simply bypassed, so flipping the switch is free in both
-    directions."""
-    global _specialization_enabled
-    _specialization_enabled = bool(enabled)
-
-
 def ast_key(expr: Regex) -> Tuple:
     """A stable structural key for an expression.
 
@@ -126,6 +108,27 @@ def _mask_of(states: Iterable[int]) -> int:
     return mask
 
 
+def _topological_order(successors: List[Iterable[int]]) -> List[int]:
+    """Kahn's in-degree count over states ``0 .. n-1``: the states in
+    topological order, leaving out every state on or behind a cycle.
+    Iterative, so automata with thousands of states cannot exhaust the
+    interpreter stack."""
+    indegree = [0] * len(successors)
+    for targets in successors:
+        for nxt in targets:
+            indegree[nxt] += 1
+    queue = deque(q for q, degree in enumerate(indegree) if not degree)
+    order: List[int] = []
+    while queue:
+        q = queue.popleft()
+        order.append(q)
+        for nxt in successors[q]:
+            indegree[nxt] -= 1
+            if not indegree[nxt]:
+                queue.append(nxt)
+    return order
+
+
 #: one resolved atom: (label, NFA delta table, adjacency, pid, inverse)
 _Step = Tuple[str, List[int], Dict[int, List[int]], int, bool]
 
@@ -134,10 +137,9 @@ def _specialize_dfa_rows(
     table: List[Dict[str, int]], finals_mask: int, steps: List[_Step]
 ) -> Tuple:
     """Per-DFA-state step rows: for each state, the usable
-    ``(adjacency, next state, accepting)`` tuples.  The generic product
-    BFS re-answers "which steps apply in this state and where do they
-    go" with a label lookup per (frontier item, step); here that is
-    answered once per plan/store pair."""
+    ``(adjacency, next state, accepting)`` tuples: "which steps apply
+    in this state and where do they go" is answered once per plan/store
+    pair instead of by a label lookup per (frontier item, step)."""
     rows = []
     for row in table:
         entries = []
@@ -206,25 +208,13 @@ def _make_dfa_dag_bfs(rows: Tuple, finals_mask: int):
     single C-speed ``set.update(neighbours)`` per source-state node
     instead of a Python-level visited check per neighbour.  The
     node-sets computed this way are exactly the visited-(node, state)
-    relation of the generic BFS, so the hit set is identical (state 0
-    is unreachable by edges in a DAG, so the seed never leaks into the
-    answer)."""
+    relation of a per-level product BFS, so the hit set is identical
+    (state 0 is unreachable by edges in a DAG, so the seed never leaks
+    into the answer)."""
     num_states = len(rows)
-    indegree = [0] * num_states
-    for entries in rows:
-        for _adjacency, nxt, _accepting in entries:
-            indegree[nxt] += 1
-    queue = deque(
-        state for state in range(num_states) if not indegree[state]
+    topo = _topological_order(
+        [[nxt for _adjacency, nxt, _accepting in entries] for entries in rows]
     )
-    topo: List[int] = []
-    while queue:
-        state = queue.popleft()
-        topo.append(state)
-        for _adjacency, nxt, _accepting in rows[state]:
-            indegree[nxt] -= 1
-            if not indegree[nxt]:
-                queue.append(nxt)
     plan_order = tuple(
         (state, rows[state]) for state in topo if rows[state]
     )
@@ -292,9 +282,9 @@ def _make_dfa_bfs(rows: Tuple):
     rather than held as (node, state) tuples: step dispatch, the target
     visited-set, and the accepting flag hoist out of the per-node loop,
     and visitedness is one set membership per (node, state) instead of
-    bitmask dict arithmetic.  Visit order differs from the generic BFS
-    but the visited-(node, state) relation — and therefore the hit set —
-    is identical."""
+    bitmask dict arithmetic.  Visit order differs from a tuple-frontier
+    BFS but the visited-(node, state) relation — and therefore the hit
+    set — is identical."""
     num_states = len(rows)
 
     def bfs_hits(sid: int) -> Set[int]:
@@ -552,32 +542,17 @@ class CompiledRPQ:
         BFS for all-pairs; looping plans switch to the multi-source
         propagation (their per-source reachable sets are large and
         heavily shared)."""
-        graph: Dict[int, Set[int]] = {}
+        successors: List[Iterable[int]]
         if self.dfa_table is not None:
-            for src, row in enumerate(self.dfa_table):
-                graph[src] = set(row.values())
+            successors = [row.values() for row in self.dfa_table]
         else:
+            successors = []
             for q in range(self.num_states):
-                successors: Set[int] = set()
+                mask = 0
                 for delta in self.deltas.values():
-                    successors.update(_iter_bits(delta[q]))
-                graph[q] = successors
-        color: Dict[int, int] = {}  # 1 = on stack, 2 = done
-
-        def has_cycle(node: int) -> bool:
-            color[node] = 1
-            for nxt in graph.get(node, ()):
-                state = color.get(nxt)
-                if state == 1:
-                    return True
-                if state is None and has_cycle(nxt):
-                    return True
-            color[node] = 2
-            return False
-
-        return any(
-            color.get(node) is None and has_cycle(node) for node in graph
-        )
+                    mask |= delta[q]
+                successors.append(list(_iter_bits(mask)))
+        return len(_topological_order(successors)) < len(successors)
 
     # -- store-side resolution --------------------------------------------------
 
@@ -659,74 +634,6 @@ class CompiledRPQ:
         self._special_cache = (steps, special)
         return special
 
-    def _bfs_hits(self, sid: int, steps: List[_Step]) -> Set[int]:
-        """Node ids that reach a final state by a non-empty walk from
-        ``sid`` (the trivial empty-walk answer is the caller's job)."""
-        if _specialization_enabled:
-            return self._specialized(steps).bfs_hits(sid)
-        if self.dfa_table is not None:
-            return self._bfs_hits_dfa(sid, steps)
-        return self._bfs_hits_nfa(sid, steps)
-
-    def _bfs_hits_dfa(self, sid: int, steps: List[_Step]) -> Set[int]:
-        table = self.dfa_table
-        finals_mask = self.dfa_finals_mask
-        reached: Dict[int, int] = {sid: 1}  # node id -> mask of DFA states
-        frontier: List[Tuple[int, int]] = [(sid, 0)]
-        hits: Set[int] = set()
-        while frontier:
-            advanced: List[Tuple[int, int]] = []
-            for nid, state in frontier:
-                row = table[state]
-                if not row:
-                    continue
-                for label, _delta, adjacency, _pid, _inv in steps:
-                    nxt = row.get(label)
-                    if nxt is None:
-                        continue
-                    neighbours = adjacency.get(nid)
-                    if not neighbours:
-                        continue
-                    bit = 1 << nxt
-                    accepting = finals_mask & bit
-                    for other in neighbours:
-                        seen = reached.get(other, 0)
-                        if seen & bit:
-                            continue
-                        reached[other] = seen | bit
-                        advanced.append((other, nxt))
-                        if accepting:
-                            hits.add(other)
-            frontier = advanced
-        return hits
-
-    def _bfs_hits_nfa(self, sid: int, steps: List[_Step]) -> Set[int]:
-        finals = self.finals_mask
-        reached: Dict[int, int] = {sid: self.start_mask}
-        frontier: List[Tuple[int, int]] = [(sid, self.start_mask)]
-        hits: Set[int] = set()
-        step_mask = self._step_mask
-        while frontier:
-            advanced: List[Tuple[int, int]] = []
-            for nid, new_mask in frontier:
-                for label, delta, adjacency, _pid, _inv in steps:
-                    targets_mask = step_mask(label, delta, new_mask)
-                    if not targets_mask:
-                        continue
-                    neighbours = adjacency.get(nid)
-                    if not neighbours:
-                        continue
-                    for other in neighbours:
-                        old = reached.get(other, 0)
-                        gained = targets_mask & ~old
-                        if gained:
-                            reached[other] = old | gained
-                            advanced.append((other, gained))
-                            if gained & finals:
-                                hits.add(other)
-            frontier = advanced
-        return hits
-
     def _evaluate_sources(
         self,
         store: TripleStore,
@@ -737,11 +644,7 @@ class CompiledRPQ:
         """One bitmask BFS per requested source node."""
         answers: Set[Tuple[str, str]] = set()
         names = store.node_names()
-        bfs_hits = (
-            self._specialized(steps).bfs_hits
-            if _specialization_enabled
-            else None
-        )
+        bfs_hits = self._specialized(steps).bfs_hits
         for source in sources:
             if self.accepts_empty and (
                 target_filter is None or source in target_filter
@@ -750,12 +653,7 @@ class CompiledRPQ:
             sid = store.node_id(source)
             if sid is None:
                 continue  # node outside the graph: no walks at all
-            hits = (
-                bfs_hits(sid)
-                if bfs_hits is not None
-                else self._bfs_hits(sid, steps)
-            )
-            for nid in hits:
+            for nid in bfs_hits(sid):
                 name = names[nid]
                 if target_filter is None or name in target_filter:
                     answers.add((source, name))
@@ -867,19 +765,10 @@ class CompiledRPQ:
                 names, productive, steps, target_filter, answers
             )
         else:
-            bfs_hits = (
-                self._specialized(steps).bfs_hits
-                if _specialization_enabled
-                else None
-            )
+            bfs_hits = self._specialized(steps).bfs_hits
             for sid in productive:
                 source = names[sid]
-                hits = (
-                    bfs_hits(sid)
-                    if bfs_hits is not None
-                    else self._bfs_hits(sid, steps)
-                )
-                for nid in hits:
+                for nid in bfs_hits(sid):
                     name = names[nid]
                     if target_filter is None or name in target_filter:
                         answers.add((source, name))
@@ -902,19 +791,13 @@ class CompiledRPQ:
             num_states = len(self.dfa_table)
             start_states = [0]
             finals_mask = self.dfa_finals_mask
-
-            def transitions(q: int, label: str) -> int:
-                nxt = self.dfa_table[q].get(label)
-                return 0 if nxt is None else 1 << nxt
-
         else:
             num_states = self.num_states
             start_states = list(_iter_bits(self.start_mask))
             finals_mask = self.finals_mask
-
-            def transitions(q: int, label: str) -> int:
-                return self.deltas[label][q]
-
+        # per-state (adjacency, decoded target states) rows: no label
+        # dispatch and no bitmask decoding per dequeued vertex
+        rows = self._specialized(steps).prop_rows
         # masks[nid * num_states + q] = bitmask over *compacted* source
         # indexes (bit i  <->  productive[i]) reaching (nid, q)
         masks: Dict[int, int] = {}
@@ -927,67 +810,32 @@ class CompiledRPQ:
                 masks[key] = masks.get(key, 0) | bit
                 pending[key] = pending.get(key, 0) | bit
                 queue.append(key)
-        if _specialization_enabled:
-            # same propagation with the per-state (adjacency, decoded
-            # target states) rows precomputed — no label dispatch and no
-            # bitmask decoding per dequeued vertex
-            rows = self._specialized(steps).prop_rows
-            masks_get = masks.get
-            pending_pop = pending.pop
-            queue_append = queue.append
-            while queue:
-                key = queue.popleft()
-                delta_sources = pending_pop(key, 0)
-                if not delta_sources:
+        masks_get = masks.get
+        pending_pop = pending.pop
+        queue_append = queue.append
+        while queue:
+            key = queue.popleft()
+            delta_sources = pending_pop(key, 0)
+            if not delta_sources:
+                continue
+            nid, q = divmod(key, num_states)
+            for adjacency, targets in rows[q]:
+                neighbours = adjacency.get(nid)
+                if not neighbours:
                     continue
-                nid, q = divmod(key, num_states)
-                for adjacency, targets in rows[q]:
-                    neighbours = adjacency.get(nid)
-                    if not neighbours:
-                        continue
-                    for other in neighbours:
-                        base = other * num_states
-                        for target in targets:
-                            other_key = base + target
-                            old = masks_get(other_key, 0)
-                            gained = delta_sources & ~old
-                            if gained:
-                                masks[other_key] = old | gained
-                                if other_key in pending:
-                                    pending[other_key] |= gained
-                                else:
-                                    pending[other_key] = gained
-                                    queue_append(other_key)
-        else:
-            while queue:
-                key = queue.popleft()
-                delta_sources = pending.pop(key, 0)
-                if not delta_sources:
-                    continue
-                nid, q = divmod(key, num_states)
-                for label, _delta, adjacency, _pid, _inv in steps:
-                    targets_mask = transitions(q, label)
-                    if not targets_mask:
-                        continue
-                    neighbours = adjacency.get(nid)
-                    if not neighbours:
-                        continue
-                    for other in neighbours:
-                        base = other * num_states
-                        rest = targets_mask
-                        while rest:
-                            low = rest & -rest
-                            other_key = base + low.bit_length() - 1
-                            rest ^= low
-                            old = masks.get(other_key, 0)
-                            gained = delta_sources & ~old
-                            if gained:
-                                masks[other_key] = old | gained
-                                if other_key in pending:
-                                    pending[other_key] |= gained
-                                else:
-                                    pending[other_key] = gained
-                                    queue.append(other_key)
+                for other in neighbours:
+                    base = other * num_states
+                    for target in targets:
+                        other_key = base + target
+                        old = masks_get(other_key, 0)
+                        gained = delta_sources & ~old
+                        if gained:
+                            masks[other_key] = old | gained
+                            if other_key in pending:
+                                pending[other_key] |= gained
+                            else:
+                                pending[other_key] = gained
+                                queue_append(other_key)
         # a seeded start vertex with a final state only occurs when the
         # language is nullable, and those (u, u) pairs were added above,
         # so reading the raw masks never invents an answer

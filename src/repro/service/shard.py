@@ -37,7 +37,7 @@ closes the loop:
   variable-predicate scans union per-predicate owner reads, so ``query``
   requests never fall back to a gathered union store.
 
-The exchange is *payload-aware and pipelined*:
+The exchange is *payload-aware* and runs in barrier rounds:
 
 * **Label pruning** (``label_prune=True``) — the coordinator attaches
   each shard image itself and consults the per-node label summary
@@ -49,15 +49,12 @@ The exchange is *payload-aware and pipelined*:
   are counted in ``pruned_entries``.  Images without a summary
   (format 1, or > 63 predicates) degrade gracefully to shard-level
   predicate pruning plus node-existence pruning.
-* **Pipelined rounds** (``pipelined=True``) — instead of a per-round
-  barrier, a completion-driven loop keeps one frontier-step call in
-  flight per shard: as each worker returns, its partial is merged and
-  the next level is dispatched immediately to idle shards while
-  stragglers drain.  The reached/newness bookkeeping stays coordinator-
-  owned; the reached table is a monotone join over bitmasks, so the
-  completion order cannot change the fixpoint and answers stay
-  deterministic (the equivalence tests pin pipelined == barrier ==
-  single-process).
+* **Barrier rounds** — each round scatters every shard's buffered
+  entries through :meth:`ShardGroup.scatter` (so the exchange shares
+  its replica failover), gathers all partials, and merges them before
+  the next round.  The reached/newness bookkeeping stays coordinator-
+  owned, so both the answers and the byte counters below are
+  deterministic for a given store and expression.
 
 ``scatter_bytes`` / ``gather_bytes`` / ``rounds`` / ``pruned_entries``
 counters (estimated wire payload: token + name UTF-8 bytes plus a
@@ -92,7 +89,7 @@ import os
 import threading
 from bisect import bisect_right
 from collections import OrderedDict
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -135,9 +132,8 @@ RING_POINTS = 64
 #: by the worker count, same discipline as repro.core.parallelism)
 BATTERY_CHUNK_SIZE = 256
 
-#: default union-store LRU entries kept per group for multi-shard
-#: simple/trail decisions (a :class:`ShardGroup` parameter since the
-#: capacity is workload-dependent)
+#: union-store LRU entries kept per group for multi-shard simple/trail
+#: decisions (read at eviction time)
 _UNION_CACHE_ENTRIES = 8
 
 #: estimated per-entry wire overhead of one frontier-exchange entry
@@ -468,17 +464,12 @@ class ShardGroup:
         target: Any,
         replicas: int = 1,
         *,
-        pipelined: bool = True,
         label_prune: bool = True,
-        union_cache_entries: int = _UNION_CACHE_ENTRIES,
     ):
         if replicas < 1:
             raise ValueError("every shard needs at least one attachment")
         self.manifest = ShardManifest.load(target)
         self.replicas = replicas
-        #: completion-driven frontier exchange (False: per-round barrier;
-        #: the answers are identical either way — equivalence-tested)
-        self.pipelined = pipelined
         #: label-pruned scatter (False: broadcast the frontier to every
         #: owner shard, the pre-pruning behaviour — kept for comparison
         #: benchmarks and equivalence tests)
@@ -503,7 +494,6 @@ class ShardGroup:
             for shard in range(self.manifest.shards)
         ]
         self._node_names: Opt[List[str]] = None
-        self._union_cache_entries = union_cache_entries
         self._union_cache: "OrderedDict[Tuple[str, frozenset], TripleStore]" = (
             OrderedDict()
         )
@@ -566,7 +556,6 @@ class ShardGroup:
                 for attachments in self.workers
                 for worker in attachments
             ),
-            "pipelined": self.pipelined,
             "label_prune": self.label_prune,
             "scatter_bytes": self.scatter_bytes,
             "gather_bytes": self.gather_bytes,
@@ -662,9 +651,10 @@ class ShardGroup:
 
     def scatter(self, jobs: Sequence[Tuple[int, Callable, Tuple]]) -> List[Any]:
         """Run ``(shard, fn, args)`` jobs concurrently — one in-flight
-        call per job, gathered in order.  A job whose worker died fails
-        over through :meth:`call_shard` (which respawns if needed); the
-        gather hook fires once per round, after all results are in."""
+        call per job, gathered in order once all have finished.  A job
+        whose worker died fails over through :meth:`call_shard` (which
+        respawns if needed); the gather hook fires once per round, after
+        all results are in."""
         submitted: List[Tuple[int, Callable, Tuple, Opt[ShardWorker], Any]] = []
         for shard, fn, args in jobs:
             worker = self._live_worker(shard)
@@ -675,6 +665,9 @@ class ShardGroup:
                 submitted.append((shard, fn, args, None, None))
                 continue
             submitted.append((shard, fn, args, worker, future))
+        # block on the whole round in one call: this module-level
+        # ``wait`` is where perfbench's traced run times worker wait
+        wait([future for *_, future in submitted if future is not None])
         results: List[Any] = []
         for shard, fn, args, worker, future in submitted:
             if future is None:
@@ -809,12 +802,11 @@ class ShardGroup:
 
         Scatter is label-pruned (an entry ships to a shard only when
         its mask has a pending transition the shard's labels — and,
-        with an image summary, the node's own labels — can serve) and
-        the rounds are pipelined (completion-driven re-dispatch per
-        shard) unless the group was built with those modes disabled.
-        Both axes change payload and overlap, never the answer set: the
-        reached table is a monotone bitmask join, so any completion
-        order converges to the same fixpoint.
+        with an image summary, the node's own labels — can serve)
+        unless the group was built with ``label_prune=False``; pruning
+        changes the payload, never the answer set.  Rounds are barriers:
+        every shard with buffered entries is scattered to, and all
+        partials merge before the next round.
         """
         if sources is not None:
             seeds = sorted(set(sources))
@@ -902,46 +894,44 @@ class ShardGroup:
                 else:
                     stats["pruned"] += 1
 
-        def merge_partial(partial: List[Tuple[str, str, int]]) -> None:
-            """Fold one worker's advanced frontier into the reached
-            table; gained bits record hits and re-enter the buffers."""
-            stats["gather"] += _entries_bytes(partial)
-            for token, name, mask in partial:
-                old = reached.get((token, name), 0)
-                gained = mask & ~old
-                if not gained:
-                    continue
-                reached[(token, name)] = old | gained
-                if gained & finals_mask and (
-                    target_filter is None or name in target_filter
-                ):
-                    answers.add((token, name))
-                enqueue(token, name, gained)
-
-        def drain(shard: int) -> Opt[List[Tuple[str, str, int]]]:
-            """Take the shard's buffered entries for dispatch (None
-            when it has nothing pending)."""
-            buffer = pending[shard]
-            if not buffer:
-                return None
-            entries = [(t, n, m) for (t, n), m in buffer.items()]
-            pending[shard] = {}
-            stats["scatter"] += _entries_bytes(entries)
-            stats["entries"] += len(entries)
-            stats["rounds"] += 1
-            return entries
-
         for name in seeds:
             enqueue(name, name, start_mask)
         try:
-            if self.pipelined:
-                self._exchange_pipelined(
-                    expr_text, owners, pending, drain, merge_partial
-                )
-            else:
-                self._exchange_barrier(
-                    expr_text, owners, pending, drain, merge_partial
-                )
+            while True:
+                jobs: List[Tuple[int, Callable, Tuple]] = []
+                for shard in owners:
+                    buffer = pending[shard]
+                    if not buffer:
+                        continue
+                    entries = [(t, n, m) for (t, n), m in buffer.items()]
+                    pending[shard] = {}
+                    stats["scatter"] += _entries_bytes(entries)
+                    stats["entries"] += len(entries)
+                    stats["rounds"] += 1
+                    jobs.append(
+                        (
+                            shard,
+                            _task_frontier_step,
+                            (self.workers[shard][0].image, expr_text, entries),
+                        )
+                    )
+                if not jobs:
+                    break
+                # fold each worker's advanced frontier into the reached
+                # table; gained bits record hits and re-enter the buffers
+                for partial in self.scatter(jobs):
+                    stats["gather"] += _entries_bytes(partial)
+                    for token, name, mask in partial:
+                        old = reached.get((token, name), 0)
+                        gained = mask & ~old
+                        if not gained:
+                            continue
+                        reached[(token, name)] = old | gained
+                        if gained & finals_mask and (
+                            target_filter is None or name in target_filter
+                        ):
+                            answers.add((token, name))
+                        enqueue(token, name, gained)
         finally:
             self._account(
                 scatter=stats["scatter"],
@@ -951,90 +941,6 @@ class ShardGroup:
                 entries=stats["entries"],
             )
         return answers
-
-    def _exchange_barrier(
-        self, expr_text: str, owners: List[int], pending, drain, merge_partial
-    ) -> None:
-        """Round-barrier exchange: scatter every non-empty buffer,
-        gather all partials, merge, repeat."""
-        while True:
-            jobs: List[Tuple[int, Callable, Tuple]] = []
-            for shard in owners:
-                entries = drain(shard)
-                if entries is None:
-                    continue
-                jobs.append(
-                    (
-                        shard,
-                        _task_frontier_step,
-                        (self.workers[shard][0].image, expr_text, entries),
-                    )
-                )
-            if not jobs:
-                return
-            for partial in self.scatter(jobs):
-                merge_partial(partial)
-
-    def _exchange_pipelined(
-        self, expr_text: str, owners: List[int], pending, drain, merge_partial
-    ) -> None:
-        """Completion-driven exchange: at most one frontier-step call in
-        flight per shard (the workers are single-slot); each completion
-        merges immediately and idle shards re-dispatch while stragglers
-        drain.  A worker that dies mid-call fails over synchronously
-        through :meth:`call_shard` (which respawns as a last resort)."""
-        inflight: Dict[Any, Tuple[int, ShardWorker, List]] = {}
-
-        def fallback(shard: int, entries: List) -> None:
-            self.failovers += 1
-            merge_partial(
-                self.call_shard(
-                    shard,
-                    _task_frontier_step,
-                    self.workers[shard][0].image,
-                    expr_text,
-                    entries,
-                )
-            )
-
-        def dispatch(shard: int) -> None:
-            entries = drain(shard)
-            if entries is None:
-                return
-            worker = self._live_worker(shard)
-            try:
-                future = worker.submit(
-                    _task_frontier_step, worker.image, expr_text, entries
-                )
-            except (BrokenProcessPool, RuntimeError):
-                worker.broken = True
-                fallback(shard, entries)
-                return
-            inflight[future] = (shard, worker, entries)
-
-        while True:
-            busy = {shard for shard, _, _ in inflight.values()}
-            for shard in owners:
-                if shard not in busy:
-                    dispatch(shard)
-            if not inflight:
-                if any(pending[shard] for shard in owners):
-                    # every dispatch fell back synchronously (all
-                    # workers broken) and refilled buffers; keep going
-                    continue
-                return
-            done, _ = wait(list(inflight), return_when=FIRST_COMPLETED)
-            for future in done:
-                shard, worker, entries = inflight.pop(future)
-                try:
-                    partial = future.result()
-                except BrokenProcessPool:
-                    worker.broken = True
-                    fallback(shard, entries)
-                    continue
-                merge_partial(partial)
-            if self.gather_hook is not None:
-                self.gather_hook()
 
     # -- RPQ: simple-path / trail semantics --------------------------------------
 
@@ -1100,7 +1006,7 @@ class ShardGroup:
             for s, p, o in edges:
                 union.add(s, p, o)
         self._union_cache[key] = union
-        while len(self._union_cache) > self._union_cache_entries:
+        while len(self._union_cache) > _UNION_CACHE_ENTRIES:
             self._union_cache.popitem(last=False)
         return union
 

@@ -1003,7 +1003,7 @@ class ShardedServiceOracle(Oracle):
             # label-skewed cyclic store: a cold multi-predicate ring
             # (cyclic frontiers that revisit nodes with new masks) plus
             # a hot predicate carrying most triples — the exchange's
-            # pruning and pipelining stress case
+            # pruning stress case
             nodes = [f"n{i}" for i in range(rng.randrange(4, 8))]
             triples = set()
             for index, node in enumerate(nodes):

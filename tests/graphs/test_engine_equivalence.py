@@ -11,7 +11,6 @@ from repro.graphs.engine import (
     clear_plan_cache,
     compile_rpq,
     configure_plan_cache,
-    configure_specialization,
     plan_cache_info,
 )
 from repro.graphs.generator import web_graph
@@ -42,6 +41,11 @@ WALK_EXPRS = [
 SEARCH_EXPRS = ["a*b?", "(a+b)*", "a(^b)a?", "(ab)+", "ab*+c"]
 
 DC_CHAIN_EXPRS = ["a*b?", "a?b*c?", "(a+b)*"]
+
+#: plans that keep no DFA, so only the NFA closures evaluate them: a
+#: cyclic one whose subset construction blows past _DFA_BLOWUP_LIMIT,
+#: and an acyclic one with more states than _DFA_STATE_LIMIT
+NFA_ONLY_EXPRS = ["(a+b)*a" + "(a+b)" * 9, "a" * 25]
 
 
 def labeled_powerlaw_store(
@@ -103,6 +107,46 @@ class TestWalkEquivalence:
         assert evaluate_rpq(store, parse("(a+b)*c"), sources=[]) == set()
         info = plan_cache_info()
         assert info["misses"] == 0 and info["size"] == 0
+
+
+class TestNFAOnlyPlans:
+    def test_plans_keep_no_dfa(self):
+        cyclic, acyclic = (compile_rpq(parse(t)) for t in NFA_ONLY_EXPRS)
+        assert cyclic.dfa_table is None and cyclic.cyclic
+        assert acyclic.dfa_table is None and not acyclic.cyclic
+        assert acyclic.num_states == 26
+
+    def test_all_pairs_and_sources(self):
+        rng = random.Random(31)
+        for _trial in range(3):
+            store = labeled_powerlaw_store(rng, 30)
+            sources = rng.sample(sorted(store.nodes()), 6)
+            for text in NFA_ONLY_EXPRS:
+                expr = parse(text)
+                assert evaluate_rpq(store, expr) == evaluate_rpq_reference(
+                    store, expr
+                ), text
+                assert evaluate_rpq(
+                    store, expr, sources=sources
+                ) == evaluate_rpq_reference(store, expr, sources=sources), text
+
+    def test_long_concatenation_compiles_and_evaluates(self):
+        # thousands of plan states: compilation must not recurse per state
+        expr = parse("a" * 3000)
+        plan = compile_rpq(expr)
+        assert plan.num_states == 3001 and not plan.cyclic
+        store = TripleStore()
+        for i in range(3004):
+            store.add(f"v{i}", "a", f"v{i + 1}")
+        sources = ["v0", "v3", "v7"]
+        expected = evaluate_rpq_reference(store, expr, sources=sources)
+        assert expected == {("v0", "v3000"), ("v3", "v3003")}
+        assert evaluate_rpq(store, expr, sources=sources) == expected
+        small = TripleStore()
+        for i in range(8):
+            small.add(f"v{i}", "a", f"v{i + 1}")
+        assert evaluate_rpq(small, expr) == set()
+        assert evaluate_rpq_reference(small, expr) == set()
 
 
 class TestSearchEquivalence:
@@ -179,39 +223,19 @@ class TestPlanCache:
 
 
 class TestSpecializedClosures:
-    """The per-plan specialized step closures must be answer-invisible:
-    toggling :func:`configure_specialization` never changes a result."""
-
-    def test_on_off_equivalence(self):
-        rng = random.Random(21)
-        try:
-            for _trial in range(4):
-                store = labeled_powerlaw_store(rng, 35)
-                nodes = sorted(store.nodes())
-                sources = rng.sample(nodes, 6)
-                for text in WALK_EXPRS:
-                    expr = parse(text)
-                    configure_specialization(False)
-                    plain_all = evaluate_rpq(store, expr)
-                    plain_src = evaluate_rpq(store, expr, sources=sources)
-                    configure_specialization(True)
-                    assert evaluate_rpq(store, expr) == plain_all, text
-                    assert (
-                        evaluate_rpq(store, expr, sources=sources)
-                        == plain_src
-                    ), text
-        finally:
-            configure_specialization(True)
+    """Each plan shape compiles to its own specialized step closure."""
 
     def test_closure_selection(self):
         # chains fold through adjacency maps; other acyclic plans take
-        # the one-pass DAG closure; cyclic DFA plans group the frontier
+        # the one-pass DAG closure; cyclic DFA plans group the frontier;
+        # plans left without a DFA group it per NFA state set
         store = labeled_powerlaw_store(random.Random(22), 20)
         for text, variant in [
             ("abc", "_make_chain_bfs"),
             ("a", "_make_chain_bfs"),
             ("a(b+^c)", "_make_dfa_dag_bfs"),
             ("(ab)+", "_make_dfa_bfs"),
+            (NFA_ONLY_EXPRS[1], "_make_nfa_bfs"),
         ]:
             plan = compile_rpq(parse(text))
             steps = plan._resolve_atoms(store)

@@ -23,6 +23,7 @@ from repro.logs.analyzer import encode_report
 from repro.logs.pipeline import run_study
 from repro.regex.parser import parse as parse_regex
 from repro.service import EmbeddedService, ServiceConfig
+from repro.service import shard as shard_module
 from repro.service.shard import (
     MANIFEST_NAME,
     ShardGroup,
@@ -416,7 +417,7 @@ def test_battery_through_the_service_is_deployment_independent(tmp_path):
     run(scenario())
 
 
-# -- label-pruned, pipelined exchange -----------------------------------------
+# -- label-pruned, round-barrier exchange -------------------------------------
 
 
 def skewed_store(shards: int = 3, hot: int = 120, cold: int = 12, seed: int = 3):
@@ -438,12 +439,8 @@ def skewed_store(shards: int = 3, hot: int = 120, cold: int = 12, seed: int = 3)
     return store, hot_pred, cold_preds
 
 
-def exchange_groups(path, **common):
-    return {
-        (lp, pipe): ShardGroup(path, pipelined=pipe, label_prune=lp, **common)
-        for lp in (False, True)
-        for pipe in (False, True)
-    }
+def exchange_groups(path):
+    return {lp: ShardGroup(path, label_prune=lp) for lp in (False, True)}
 
 
 def test_pruned_and_unpruned_exchange_agree_and_pruning_cuts_payload(tmp_path):
@@ -458,14 +455,13 @@ def test_pruned_and_unpruned_exchange_agree_and_pruning_cuts_payload(tmp_path):
         ]
         for text in texts:
             expected = evaluate_rpq(store, parse_regex(text, multi_char=True))
-            for (lp, pipe), group in groups.items():
+            for lp, group in groups.items():
                 assert group.evaluate_walk(text, None, None) == expected, (
                     text,
                     lp,
-                    pipe,
                 )
-        pruned = groups[(True, False)]
-        unpruned = groups[(False, False)]
+        pruned = groups[True]
+        unpruned = groups[False]
         # identical workload, byte-identical accounting scheme: pruning
         # must strictly cut scatter payload on a skewed store and count
         # what a broadcast would have shipped
@@ -479,27 +475,39 @@ def test_pruned_and_unpruned_exchange_agree_and_pruning_cuts_payload(tmp_path):
             group.close()
 
 
-def test_pipelined_and_barrier_exchanges_are_deterministic(tmp_path):
+def test_exchange_answers_and_accounting_are_deterministic(tmp_path):
     store, hot, colds = skewed_store(seed=9)
     shard_store(store, tmp_path / "g", shards=3)
-    barrier = ShardGroup(tmp_path / "g", pipelined=False)
-    pipelined = ShardGroup(tmp_path / "g", pipelined=True)
+    first = ShardGroup(tmp_path / "g")
+    second = ShardGroup(tmp_path / "g")
+    counters = ("scatter_bytes", "gather_bytes", "rounds", "pruned_entries")
     try:
-        text = f"({hot} | {colds[0]} | {colds[1]})*"
-        expected = evaluate_rpq(store, parse_regex(text, multi_char=True))
-        # completion order varies run to run; answers may not
-        for _ in range(3):
-            assert pipelined.evaluate_walk(text, None, None) == expected
-            assert barrier.evaluate_walk(text, None, None) == expected
+        texts = [
+            f"({hot} | {colds[0]} | {colds[1]})*",
+            f"{colds[0]} {hot}* ^{colds[1]}",
+        ]
+        for text in texts:
+            expected = evaluate_rpq(store, parse_regex(text, multi_char=True))
+            # worker completion order varies run to run; neither the
+            # answers nor the byte accounting may
+            assert first.evaluate_walk(text, None, None) == expected
+            assert second.evaluate_walk(text, None, None) == expected
+        first_stats, second_stats = first.stats(), second.stats()
+        assert first_stats["rounds"] > 0
+        for name in counters:
+            assert first_stats[name] == second_stats[name], name
     finally:
-        barrier.close()
-        pipelined.close()
+        first.close()
+        second.close()
 
 
-def test_union_cache_is_fingerprint_keyed_with_bounded_capacity(tmp_path):
+def test_union_cache_is_fingerprint_keyed_with_bounded_capacity(
+    tmp_path, monkeypatch
+):
     store, hot, colds = skewed_store(hot=20, cold=20)
     shard_store(store, tmp_path / "g", shards=3)
-    group = ShardGroup(tmp_path / "g", union_cache_entries=1)
+    monkeypatch.setattr(shard_module, "_UNION_CACHE_ENTRIES", 1)
+    group = ShardGroup(tmp_path / "g")
     try:
         group.exists(f"{hot} {colds[0]}", "n0", "n1", "simple")
         assert len(group._union_cache) == 1
@@ -516,7 +524,7 @@ def test_union_cache_is_fingerprint_keyed_with_bounded_capacity(tmp_path):
 def test_exchange_pruning_survives_worker_death(tmp_path):
     store, hot, colds = skewed_store(seed=21)
     shard_store(store, tmp_path / "g", shards=3)
-    group = ShardGroup(tmp_path / "g", pipelined=True, label_prune=True)
+    group = ShardGroup(tmp_path / "g", label_prune=True)
     try:
         text = f"({hot} | {colds[0]})*"
         expected = evaluate_rpq(store, parse_regex(text, multi_char=True))
@@ -627,7 +635,6 @@ def test_exchange_counters_surface_through_stats_and_metrics(tmp_path):
             stats = await service.stats()
             shard_stats = stats["shards"]["g"]
             assert shard_stats["label_prune"] is True
-            assert shard_stats["pipelined"] is True
             assert shard_stats["scatter_bytes"] > 0
             assert shard_stats["gather_bytes"] > 0
             assert shard_stats["rounds"] > 0
