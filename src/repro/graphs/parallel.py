@@ -15,19 +15,21 @@ a task — only expressions out and ``(source, target)`` name pairs back.
 A live (mutable) :class:`~repro.graphs.rdf.TripleStore` also works but
 is copied into every worker by pickling; callers with more than a
 trivial store should ``save()`` it once and fan out over the mapped
-image.  The chunking uses the same pool-width-first fan-out discipline
-as the log pipeline (:func:`repro.core.parallelism.fanout_chunk_size`),
-so a handful of expressions still spreads across every worker.
+image.  Chunking, pool ownership and the inline/pool choice are the
+shared :func:`repro.core.parallelism.fan_out`'s: a handful of
+expressions still spreads across every worker, and ``workers`` > 1 on
+a single usable CPU runs inline with a one-time ``RuntimeWarning``.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from typing import Iterable, List, Optional as Opt, Sequence, Set, Tuple
 
-from ..core.parallelism import fanout_chunks, pool_width, usable_cpus
+from ..core.parallelism import fan_out
 from ..regex.ast import Regex
-from .engine import CompiledRPQ, compile_rpq
+from .engine import compile_rpq
 from .rdf import TripleStore
 
 #: expressions per pool task before fan-out widening kicks in
@@ -35,9 +37,10 @@ DEFAULT_CHUNK_SIZE = 16
 
 
 def _rpq_batch(
-    payload: Tuple[
-        TripleStore, List[Regex], Opt[List[str]], Opt[List[str]]
-    ]
+    store: TripleStore,
+    sources: Opt[List[str]],
+    targets: Opt[List[str]],
+    exprs: List[Regex],
 ) -> List[Set[Tuple[str, str]]]:
     """Process-pool worker: evaluate one chunk of expressions.
 
@@ -46,7 +49,6 @@ def _rpq_batch(
     repeated tasks in one worker share one mapping *and* one engine
     specialization cache.
     """
-    store, exprs, sources, targets = payload
     return [
         compile_rpq(expr).evaluate(store, sources=sources, targets=targets)
         for expr in exprs
@@ -71,40 +73,20 @@ def evaluate_rpq_many(
     the service's ``rpq`` endpoint).  With ``workers`` > 1 — or a lent
     ``pool``, which is borrowed and left running — the expressions are
     fanned out over a process pool; otherwise they are evaluated
-    inline.  The single-CPU downgrade mirrors
-    :func:`repro.logs.pipeline.run_study`: a pool cannot win on one
-    usable core, so the call quietly runs inline.
+    inline.  The single-CPU downgrade is the one every batch stage
+    shares (:func:`repro.core.parallelism.fan_out`): on one usable
+    core the call runs inline with a one-time ``RuntimeWarning``.
     """
-    exprs = list(exprs)
-    if not exprs:
-        return []
-    source_list = list(sources) if sources is not None else None
-    target_list = list(targets) if targets is not None else None
-    parallel = pool is not None or (workers and workers > 1)
-    if parallel and pool is None and usable_cpus() < 2:
-        parallel = False
-    if not parallel or len(exprs) == 1:
-        plans: List[CompiledRPQ] = [compile_rpq(expr) for expr in exprs]
-        return [
-            plan.evaluate(store, sources=source_list, targets=target_list)
-            for plan in plans
-        ]
-    chunk_size = chunk_size or DEFAULT_CHUNK_SIZE
-    chunks = fanout_chunks(exprs, pool_width(workers, pool), chunk_size)
-    own_pool = (
-        ProcessPoolExecutor(max_workers=workers) if pool is None else None
+    batches = fan_out(
+        partial(
+            _rpq_batch,
+            store,
+            list(sources) if sources is not None else None,
+            list(targets) if targets is not None else None,
+        ),
+        exprs,
+        workers=workers,
+        pool=pool,
+        chunk_size=chunk_size or DEFAULT_CHUNK_SIZE,
     )
-    try:
-        batches = list(
-            (pool or own_pool).map(
-                _rpq_batch,
-                [
-                    (store, chunk, source_list, target_list)
-                    for chunk in chunks
-                ],
-            )
-        )
-    finally:
-        if own_pool is not None:
-            own_pool.shutdown()
     return [answer for batch in batches for answer in batch]

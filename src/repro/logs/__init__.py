@@ -9,8 +9,9 @@ Public surface:
 * Analysis: :func:`analyze_corpus`, :func:`analyze_query` (reference),
   :func:`analyze_query_fused` (the single-traversal production
   battery), :class:`LogReport`, :func:`combine_reports`
-* Pipeline: :func:`run_study` (fused parse+analyze workers),
-  :func:`stream_corpus` (dedup-first parallel ingestion),
+* Pipeline: :func:`run_study` (fused parse+analyze workers — the one
+  batch path for studies over raw text), :func:`stream_corpus`
+  (dedup-first parallel ingestion),
   :class:`PipelineStats`, :class:`AnalysisCache`,
   :func:`battery_fingerprint`
 * Reports: the ``render_table*`` functions of :mod:`repro.logs.report`
@@ -22,7 +23,6 @@ from .analyzer import (
     LogReport,
     VUCounter,
     analyze_corpus,
-    analyze_many,
     analyze_query,
     apply_analysis,
     combine_reports,
@@ -76,7 +76,6 @@ __all__ = [
     "PipelineStats",
     "VUCounter",
     "analyze_corpus",
-    "analyze_many",
     "analyze_query",
     "analyze_query_fused",
     "apply_analysis",

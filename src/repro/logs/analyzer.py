@@ -21,12 +21,10 @@ over hundreds of millions of queries has to operate.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional as Opt, Tuple
 
-from ..core.parallelism import fanout_chunk_size, pool_width
 from ..sparql.ast import PathPattern, Query
 from ..sparql.features import (
     count_triple_patterns,
@@ -298,91 +296,6 @@ def analyze_corpus(corpus: QueryLogCorpus) -> LogReport:
     for query, multiplicity in corpus.iter_valid():
         apply_analysis(report, analyze_query_fused(query), multiplicity)
     return report
-
-
-def _analyze_pairs(
-    payload: Tuple[str, List[Tuple[Query, int]]]
-) -> LogReport:
-    """Process-pool worker: analyze one shard of (query, multiplicity)
-    pairs.  Workers receive only the ASTs and multiplicities — the raw
-    texts and dedup keys of the entries never cross the pickle boundary.
-    The header numbers are restored by the caller."""
-    source, pairs = payload
-    report = LogReport(source, 0, 0, 0)
-    for query, multiplicity in pairs:
-        apply_analysis(report, analyze_query_fused(query), multiplicity)
-    return report
-
-
-def analyze_many(
-    corpora: List[QueryLogCorpus],
-    workers: Opt[int] = None,
-    chunk_size: int = 512,
-    pool: Opt[ProcessPoolExecutor] = None,
-) -> Dict[str, LogReport]:
-    """Run the battery over several corpora.
-
-    With ``workers`` unset (or <= 1) this is the sequential loop.  With
-    ``workers=N`` the corpora — and, within a corpus larger than
-    ``chunk_size`` unique queries, chunks of its entries — are analyzed
-    on a process pool and the partial :class:`LogReport`\\ s merged via
-    :func:`combine_reports`.  Per-query analyses are independent, so the
-    merged counters are identical to the sequential ones.
-
-    ``pool`` lends an externally managed
-    :class:`~concurrent.futures.ProcessPoolExecutor`: the call uses it
-    and leaves it running, so a long-lived caller (the serving layer, a
-    study loop) pays worker startup once instead of per invocation.
-    Without it, a pool of ``workers`` processes is created and torn
-    down inside the call, as before.
-
-    Only ``(query, multiplicity)`` pairs are shipped to the workers (not
-    the entry texts and keys), and empty corpora never reach the pool.
-    For end-to-end studies that start from raw text prefer
-    :func:`repro.logs.pipeline.run_study`, which fuses parsing and
-    analysis in the workers and skips this AST-pickling round-trip
-    entirely.
-    """
-    if pool is None and (not workers or workers <= 1):
-        return {corpus.source: analyze_corpus(corpus) for corpus in corpora}
-    total_entries = sum(len(corpus.entries) for corpus in corpora)
-    chunk_size = fanout_chunk_size(
-        total_entries, pool_width(workers, pool), chunk_size
-    )
-    tasks: List[Tuple[int, Tuple[str, List[Tuple[Query, int]]]]] = []
-    for index, corpus in enumerate(corpora):
-        entries = corpus.entries
-        for start in range(0, len(entries), chunk_size):
-            pairs = [
-                (entry.query, entry.occurrences)
-                for entry in entries[start : start + chunk_size]
-            ]
-            tasks.append((index, (corpus.source, pairs)))
-    own_pool = (
-        ProcessPoolExecutor(max_workers=workers) if pool is None else None
-    )
-    try:
-        partials = list(
-            (pool or own_pool).map(
-                _analyze_pairs, [payload for _, payload in tasks]
-            )
-        )
-    finally:
-        if own_pool is not None:
-            own_pool.shutdown()
-    grouped: Dict[int, List[LogReport]] = defaultdict(list)
-    for (index, _), partial in zip(tasks, partials):
-        grouped[index].append(partial)
-    out: Dict[str, LogReport] = {}
-    for index, corpus in enumerate(corpora):
-        merged = combine_reports(grouped[index], name=corpus.source)
-        # chunk headers carry no Table 2 numbers (and an empty corpus has
-        # no chunks at all); restore them from the corpus itself
-        merged.total = corpus.total
-        merged.valid = corpus.valid
-        merged.unique = corpus.unique
-        out[corpus.source] = merged
-    return out
 
 
 def _encode_key(key) -> object:

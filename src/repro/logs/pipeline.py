@@ -39,11 +39,10 @@ the first occurrence of a key it has accepted).
 from __future__ import annotations
 
 import json
-import pickle
 import time
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import (
     Any,
@@ -59,7 +58,7 @@ from typing import (
 from ..errors import SPARQLParseError
 from ..sparql.ast import Query
 from ..sparql.parser import parse_query
-from ..core.parallelism import fanout_chunk_size, pool_width
+from ..core.parallelism import fan_out, pool_width
 from .analyzer import (
     LogReport,
     apply_analysis,
@@ -82,6 +81,7 @@ class PipelineStats:
     """Per-stage observability for one :func:`run_study` run."""
 
     source: str
+    #: processes stage 3 actually ran on: 1 inline, else the pool width
     workers: int = 0
     chunks: int = 0
     entries: int = 0  #: raw entries ingested (== report.total)
@@ -135,7 +135,7 @@ class PipelineStats:
             f"{self.parse_analyze_seconds:.2f}s "
             f"(parse {self.parse_seconds:.2f}s, analyze "
             f"{self.analyze_seconds:.2f}s) "
-            f"({self.workers or 1} worker(s), {self.chunks} chunk(s)), "
+            f"({self.workers} worker(s), {self.chunks} chunk(s)), "
             f"merge {self.merge_seconds:.2f}s"
         )
 
@@ -189,7 +189,7 @@ def iter_log_entries(
 
 
 def _ingest(
-    texts: Iterator[str],
+    texts: Iterable[str],
 ) -> Tuple[int, Dict[str, int], Dict[str, str], List[str]]:
     """Dedup-first pass: one dict probe per raw entry, no parsing.
     Returns (total, multiplicity per key, first raw text per key, keys
@@ -210,43 +210,6 @@ def _ingest(
         else:
             counts[key] = seen + 1
     return total, counts, first_text, order
-
-
-def _chunked(items: List, chunk_size: int) -> List[List]:
-    return [
-        items[start : start + chunk_size]
-        for start in range(0, len(items), chunk_size)
-    ]
-
-
-def _fanout_chunks(items: List, workers: int, chunk_size: int) -> List[List]:
-    """Split ``items`` for a process pool so the pool actually fans out.
-
-    The old fixed-size split quietly serialized moderate workloads: with
-    the default 512-text chunks, any run with fewer than ``512 *
-    workers`` unique texts produced fewer chunks than workers — e.g.
-    1000 unique texts on 4 workers became 2 chunks, idling half the
-    pool while still paying full pool construction and pickling cost.
-    The chunk size is re-derived from the pool width via
-    :func:`~repro.logs.analyzer.fanout_chunk_size`, so ``chunk_size``
-    only caps task payload size, never fan-out.
-    """
-    if not items:
-        return []
-    return _chunked(items, fanout_chunk_size(len(items), workers, chunk_size))
-
-
-def _pool_width(
-    workers: Opt[int], pool: Opt[ProcessPoolExecutor]
-) -> int:
-    """The effective number of workers a parallel stage will run on
-    (defers to the module-level ``_usable_cpus`` so tests can narrow
-    the perceived machine)."""
-    if workers and workers > 1:
-        return workers
-    if pool is not None:
-        return pool_width(None, pool)
-    return _usable_cpus()
 
 
 def _open_cache(cache: CacheSpec) -> Opt[AnalysisCache]:
@@ -286,33 +249,23 @@ def stream_corpus(
     ``QueryLogCorpus.from_texts(source, entries)`` but dedup-first —
     duplicates never reach the parser — and, with ``workers`` > 1 (or an
     externally managed ``pool``, which is borrowed and left running),
-    with the unique texts parsed in chunks on a process pool."""
+    with the unique texts parsed in chunks on a process pool.  The
+    inline/pool choice, including the single-CPU downgrade, is
+    :func:`~repro.core.parallelism.fan_out`'s."""
     chunk_size = chunk_size or DEFAULT_CHUNK_SIZE
     total, counts, first_text, order = _ingest(
         iter_log_entries(entries, text_field)
     )
-    pairs = [(key, first_text[key]) for key in order]
-    parallel = pool is not None or (workers and workers > 1)
-    if parallel and len(pairs) > 1:
-        own_pool = (
-            ProcessPoolExecutor(max_workers=workers)
-            if pool is None
-            else None
-        )
-        try:
-            chunks = (pool or own_pool).map(
-                _parse_worker,
-                _fanout_chunks(pairs, _pool_width(workers, pool), chunk_size),
-            )
-            parsed = [pair for chunk in chunks for pair in chunk]
-        finally:
-            if own_pool is not None:
-                own_pool.shutdown()
-    else:
-        parsed = _parse_worker(pairs)
+    chunks = fan_out(
+        _parse_worker,
+        [(key, first_text[key]) for key in order],
+        workers=workers,
+        pool=pool,
+        chunk_size=chunk_size,
+    )
     invalid = 0
     parsed_entries: List[ParsedEntry] = []
-    for key, query in parsed:
+    for key, query in (pair for chunk in chunks for pair in chunk):
         if query is None:
             invalid += counts[key]
         else:
@@ -329,59 +282,17 @@ def stream_corpus(
 # ---------------------------------------------------------------------------
 
 
-def _usable_cpus() -> int:
-    # module-level indirection over the shared helper: tests monkeypatch
-    # this symbol to simulate narrower machines
-    from ..core.parallelism import usable_cpus
-
-    return usable_cpus()
-
-
-#: one-time guard for the workers>1-on-one-CPU warning
-_fallback_warned = False
-
-
-def _warn_sequential_fallback(
-    source: str, pending: List[Tuple[str, str, int]], chunk_size: int
-) -> None:
-    """Warn (once per process) that a parallel study was downgraded.
-
-    On a single usable CPU a process pool cannot win: the chunks still
-    serialize through pickle and the workers time-slice one core, so the
-    overhead is pure loss (the committed benchmark artifact measured a
-    0.85x parallel "speedup" in exactly this situation).  The warning
-    quantifies the per-chunk serialization cost so the downgrade is
-    explainable from logs alone.
-    """
-    global _fallback_warned
-    if _fallback_warned:
-        return
-    _fallback_warned = True
-    chunk = pending[:chunk_size]
-    started = time.perf_counter()
-    payload_bytes = len(pickle.dumps((source, chunk)))
-    pickle_seconds = time.perf_counter() - started
-    warnings.warn(
-        f"run_study({source!r}): workers>1 requested but only one "
-        f"usable CPU is available; chunk serialization alone costs "
-        f"{pickle_seconds * 1e3:.2f} ms per {len(chunk)}-text chunk "
-        f"({payload_bytes} bytes) with no parallelism to pay for it — "
-        f"falling back to the fused sequential path",
-        RuntimeWarning,
-        stacklevel=3,
-    )
+#: one :func:`_study_worker` result: counters-only report, invalid
+#: occurrences, invalid unique keys, ``(key, record)`` pairs for the
+#: cache, parse seconds, analyze seconds
+StudyPartial = Tuple[
+    LogReport, int, int, List[Tuple[str, Opt[Dict[str, Any]]]], float, float
+]
 
 
 def _study_worker(
-    payload: Tuple[str, List[Tuple[str, str, int]]]
-) -> Tuple[
-    LogReport,
-    int,
-    int,
-    List[Tuple[str, Opt[Dict[str, Any]]]],
-    float,
-    float,
-]:
+    source: str, triples: List[Tuple[str, str, int]]
+) -> StudyPartial:
     """Process-pool worker: parse *and* analyze one shard of
     (key, raw text, multiplicity) triples in the same process.
 
@@ -391,7 +302,6 @@ def _study_worker(
     the seconds spent parsing vs analyzing, so
     :class:`PipelineStats` can attribute the stage cost.
     """
-    source, triples = payload
     report = LogReport(source, 0, 0, 0)
     records: List[Tuple[str, Opt[Dict[str, Any]]]] = []
     invalid = 0
@@ -425,6 +335,20 @@ def _study_worker(
     )
 
 
+def _merge_study(
+    source: str, total: int, unique: int, partials: List[StudyPartial]
+) -> LogReport:
+    """Merge study partials via :func:`combine_reports`.  Partials carry
+    counters only, so the Table 2 header numbers are restored from the
+    dedup accounting: ``total`` raw entries and ``unique`` distinct
+    keys, less the invalid ones the partials counted."""
+    report = combine_reports([result[0] for result in partials], name=source)
+    report.total = total
+    report.valid = total - sum(result[1] for result in partials)
+    report.unique = unique - sum(result[2] for result in partials)
+    return report
+
+
 def run_study(
     source: str,
     entries: Source,
@@ -445,7 +369,8 @@ def run_study(
        :class:`AnalysisCache` (``cache`` may be a directory path or an
        open cache; ``None`` disables caching);
     3. *parse+analyze* — remaining unique texts go to fused workers
-       (``workers`` > 1: a process pool; otherwise inline);
+       through :func:`~repro.core.parallelism.fan_out` (``workers`` > 1
+       on more than one usable CPU: a process pool; otherwise inline);
     4. *merge* — partials combine via :func:`combine_reports`, new
        records are flushed to the cache.
 
@@ -453,11 +378,13 @@ def run_study(
     :class:`~concurrent.futures.ProcessPoolExecutor` for stage 3 and
     leaves it running afterwards — the long-lived serving deployment
     runs periodic studies without per-call pool construction.  Without
-    it (and ``workers`` > 1) a fresh pool lives only for the call.
+    it (and ``workers`` > 1) a fresh pool lives only for the call; on a
+    single usable CPU the stage runs inline with a one-time
+    ``RuntimeWarning`` instead.
     """
     overall_started = time.perf_counter()
     chunk_size = chunk_size or DEFAULT_CHUNK_SIZE
-    stats = PipelineStats(source=source, workers=int(workers or 0))
+    stats = PipelineStats(source=source)
 
     stage_started = time.perf_counter()
     total, counts, first_text, order = _ingest(
@@ -491,62 +418,31 @@ def run_study(
         pending = [(key, first_text[key], counts[key]) for key in order]
     stats.parsed_texts = len(pending)
 
-    partials: List[LogReport] = [cached_partial]
-    new_records: List[Tuple[str, Opt[Dict[str, Any]]]] = []
-    if pending:
-        parallel = bool(
-            pool is not None or (workers and workers > 1)
-        )
-        if parallel and pool is None and _usable_cpus() < 2:
-            _warn_sequential_fallback(source, pending, chunk_size)
-            parallel = False
-        if parallel and len(pending) > 1:
-            chunks = _fanout_chunks(
-                pending, _pool_width(workers, pool), chunk_size
-            )
-            stats.chunks = len(chunks)
-            own_pool = (
-                ProcessPoolExecutor(max_workers=workers)
-                if pool is None
-                else None
-            )
-            try:
-                results = list(
-                    (pool or own_pool).map(
-                        _study_worker,
-                        [(source, chunk) for chunk in chunks],
-                    )
-                )
-            finally:
-                if own_pool is not None:
-                    own_pool.shutdown()
-        else:
-            stats.chunks = 1
-            results = [_study_worker((source, pending))]
-        for (
-            partial,
-            chunk_invalid,
-            chunk_invalid_unique,
-            records,
-            parse_seconds,
-            analyze_seconds,
-        ) in results:
-            partials.append(partial)
-            invalid += chunk_invalid
-            invalid_unique += chunk_invalid_unique
-            new_records.extend(records)
-            stats.parse_seconds += parse_seconds
-            stats.analyze_seconds += analyze_seconds
+    results = fan_out(
+        partial(_study_worker, source),
+        pending,
+        workers=workers,
+        pool=pool,
+        chunk_size=chunk_size,
+    )
+    stats.chunks = len(results)
+    # fan_out runs inline as exactly one chunk and fans out as >= 2
+    stats.workers = 1 if len(results) == 1 else pool_width(workers, pool)
+    for *_, parse_seconds, analyze_seconds in results:
+        stats.parse_seconds += parse_seconds
+        stats.analyze_seconds += analyze_seconds
     stats.parse_analyze_seconds = time.perf_counter() - stage_started
 
     stage_started = time.perf_counter()
-    report = combine_reports(partials, name=source)
-    report.total = total
-    report.valid = total - invalid
-    report.unique = stats.unique_texts - invalid_unique
+    # the cache hits fold in as one more partial
+    cached = (cached_partial, invalid, invalid_unique, [], 0.0, 0.0)
+    report = _merge_study(
+        source, total, stats.unique_texts, [cached, *results]
+    )
     if cache_obj is not None:
-        for key, record in new_records:
-            cache_obj.put(cache_key(key), record)
+        for _, _, _, records, _, _ in results:
+            for key, record in records:
+                cache_obj.put(cache_key(key), record)
         cache_obj.flush()
     stats.merge_seconds = time.perf_counter() - stage_started
     stats.total_seconds = time.perf_counter() - overall_started

@@ -5,7 +5,10 @@ pool boundary as its path, never its data."""
 
 import pickle
 import random
+import warnings
 from concurrent.futures import ProcessPoolExecutor
+
+import pytest
 
 from repro.graphs.engine import compile_rpq
 from repro.graphs.parallel import evaluate_rpq_many
@@ -40,7 +43,9 @@ def expected(store, exprs, sources=None):
 
 
 class RecordingPool:
-    """Inline 'pool' that records how many tasks it was handed."""
+    """Inline 'pool' that records how many tasks it was handed and how
+    large each pickled task is (the function travels with every task,
+    as it does through a real pool)."""
 
     def __init__(self, max_workers=4):
         self._max_workers = max_workers
@@ -50,7 +55,7 @@ class RecordingPool:
     def map(self, fn, payloads):
         payloads = list(payloads)
         self.task_counts.append(len(payloads))
-        self.payload_sizes.extend(len(pickle.dumps(p)) for p in payloads)
+        self.payload_sizes.extend(len(pickle.dumps((fn, p))) for p in payloads)
         return [fn(p) for p in payloads]
 
 
@@ -68,6 +73,17 @@ class TestInline:
         answers = evaluate_rpq_many(store, EXPRS[:1], pool=pool)
         assert answers == expected(store, EXPRS[:1])
         assert pool.task_counts == []  # no fan-out for one expression
+
+    def test_single_cpu_fallback_warns_once_and_stays_identical(
+        self, single_cpu
+    ):
+        store = build_store()
+        with pytest.warns(RuntimeWarning, match="one\\s+usable CPU"):
+            answers = evaluate_rpq_many(store, EXPRS, workers=2)
+        assert answers == expected(store, EXPRS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            evaluate_rpq_many(store, EXPRS, workers=2)
 
     def test_sources_restriction(self):
         store = build_store()

@@ -9,13 +9,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-import repro.logs.pipeline as pipeline
-from repro.logs.analyzer import (
-    COUNTER_FIELDS,
-    LogReport,
-    analyze_corpus,
-    analyze_many,
-)
+from repro.logs.analyzer import analyze_corpus
 from repro.logs.corpus import QueryLogCorpus
 from repro.logs.pipeline import (
     PipelineStats,
@@ -30,16 +24,7 @@ from repro.logs.workload import (
     generate_source_log,
 )
 
-
-def assert_reports_identical(left: LogReport, right: LogReport):
-    assert left.source == right.source
-    assert (left.total, left.valid, left.unique) == (
-        right.total,
-        right.valid,
-        right.unique,
-    )
-    for name in COUNTER_FIELDS:
-        assert getattr(left, name).items() == getattr(right, name).items(), name
+from .helpers import assert_reports_identical
 
 
 @pytest.fixture(scope="module", params=["DBpedia", "WikiOrganic", "BritM"])
@@ -87,6 +72,20 @@ class TestStreamCorpus:
         assert corpus.table2_row() == ("broken", 2, 0, 0)
         assert corpus.invalid == 2
 
+    def test_single_cpu_fallback_warns_once_and_stays_identical(
+        self, workload, single_cpu
+    ):
+        # the same downgrade as run_study: no pool on one usable CPU
+        source, texts = workload
+        reference = QueryLogCorpus.from_texts(source, texts)
+        with pytest.warns(RuntimeWarning, match="one\\s+usable CPU"):
+            streamed = stream_corpus(source, texts, workers=2, chunk_size=7)
+        assert streamed.table2_row() == reference.table2_row()
+        assert streamed.invalid == reference.invalid
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stream_corpus(source, texts, workers=2, chunk_size=7)
+
 
 class TestRunStudy:
     def reference(self, source, texts):
@@ -110,16 +109,14 @@ class TestRunStudy:
         assert report.stats.chunks > 1
 
     def test_single_cpu_fallback_warns_once_and_stays_identical(
-        self, workload, monkeypatch
+        self, workload, single_cpu
     ):
         source, texts = workload
-        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
-        monkeypatch.setattr(pipeline, "_fallback_warned", False)
         with pytest.warns(RuntimeWarning, match="one\\s+usable CPU"):
             report = run_study(source, texts, workers=2, chunk_size=7)
         assert_reports_identical(report, self.reference(source, texts))
         # the pool was skipped: everything ran as one sequential chunk
-        assert report.stats.chunks == 1
+        assert (report.stats.chunks, report.stats.workers) == (1, 1)
         # the warning is one-time per process
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -286,13 +283,17 @@ class TestFanoutRegression:
         reference = QueryLogCorpus.from_texts("DBpedia", texts)
         assert corpus.table2_row() == reference.table2_row()
 
-    def test_analyze_many_fans_out_at_least_pool_width(self):
-        texts = self.make_texts(120)
-        corpus = QueryLogCorpus.from_texts("DBpedia", texts)
+    def test_stats_record_the_lent_pool_width(self):
+        # workers unset: the width that ran is the lent pool's
         pool = FakePool(max_workers=4)
-        out = analyze_many([corpus], pool=pool)
-        assert pool.task_counts and pool.task_counts[0] >= 4
-        assert_reports_identical(out["DBpedia"], analyze_corpus(corpus))
+        stats = run_study("DBpedia", self.make_texts(160), pool=pool).stats
+        assert stats.workers == 4
+        assert stats.chunks == pool.task_counts[0]
+        assert "4 worker(s)" in stats.summary()
+
+    def test_stats_record_one_worker_inline(self):
+        stats = run_study("DBpedia", self.make_texts(40), workers=1).stats
+        assert (stats.workers, stats.chunks) == (1, 1)
 
     def test_explicit_workers_override_pool_width(self):
         texts = self.make_texts(160)
@@ -306,21 +307,3 @@ class TestFanoutRegression:
         report = run_study("DBpedia", texts, pool=pool)
         # not enough work for every worker: one entry per chunk, no more
         assert report.stats.chunks <= 3
-
-
-class TestAnalyzeManyFixes:
-    def test_empty_corpus_spawns_no_chunk(self):
-        empty = QueryLogCorpus("empty")
-        out = analyze_many([empty], workers=2, chunk_size=4)
-        assert out["empty"].total == 0
-        assert out["empty"].valid == 0
-        assert out["empty"].unique == 0
-
-    def test_mixed_empty_and_nonempty(self):
-        texts = generate_source_log(DBPEDIA, total=50, seed=1)
-        corpus = QueryLogCorpus.from_texts("DBpedia", texts)
-        out = analyze_many(
-            [corpus, QueryLogCorpus("empty")], workers=2, chunk_size=8
-        )
-        assert_reports_identical(out["DBpedia"], analyze_corpus(corpus))
-        assert out["empty"].unique == 0

@@ -1,40 +1,24 @@
 """Externally managed process pools (the `pool=` parameter).
 
 A long-lived caller — the serving layer, a study loop — creates one
-ProcessPoolExecutor and lends it to analyze_many / stream_corpus /
-run_study.  The borrowed pool must (a) produce results identical to
-both the sequential path and the own-pool parallel path, and (b) be
-left running for the next call."""
+ProcessPoolExecutor and lends it to stream_corpus / run_study.  The
+borrowed pool must (a) produce results identical to both the sequential
+path and the own-pool parallel path, and (b) be left running for the
+next call."""
 
 from concurrent.futures import ProcessPoolExecutor
 
-from repro.logs.analyzer import analyze_many
+from repro.logs.analyzer import analyze_corpus
 from repro.logs.corpus import QueryLogCorpus
 from repro.logs.pipeline import run_study, stream_corpus
 from repro.logs.workload import DBPEDIA, generate_source_log
 
-from .test_parallel_analyze import (
-    assert_reports_identical,
-    synthetic_corpora,
-)
+from .helpers import assert_reports_identical, synthetic_logs
 
 
 def entries_of(texts):
     # an iterable of raw strings is a valid entry source
     return list(texts)
-
-
-def test_analyze_many_with_borrowed_pool_matches_sequential():
-    corpora = synthetic_corpora()
-    sequential = analyze_many(corpora)
-    with ProcessPoolExecutor(max_workers=2) as pool:
-        borrowed = analyze_many(corpora, chunk_size=16, pool=pool)
-        # the pool survives the call: reuse it immediately
-        again = analyze_many(corpora, chunk_size=16, pool=pool)
-    assert sequential.keys() == borrowed.keys() == again.keys()
-    for source in sequential:
-        assert_reports_identical(sequential[source], borrowed[source])
-        assert_reports_identical(sequential[source], again[source])
 
 
 def test_stream_corpus_with_borrowed_pool_matches_from_texts():
@@ -67,10 +51,12 @@ def test_run_study_with_borrowed_pool_matches_sequential():
 
 
 def test_borrowed_pool_is_not_shut_down():
-    corpora = synthetic_corpora()[:1]
     pool = ProcessPoolExecutor(max_workers=2)
     try:
-        analyze_many(corpora, chunk_size=16, pool=pool)
+        for source, texts in synthetic_logs():
+            report = run_study(source, texts, chunk_size=16, pool=pool)
+            corpus = QueryLogCorpus.from_texts(source, texts)
+            assert_reports_identical(report, analyze_corpus(corpus))
         # a shut-down pool raises RuntimeError on submit; a borrowed
         # one must still accept work
         assert pool.submit(len, "still alive").result() == len(

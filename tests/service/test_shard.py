@@ -254,6 +254,33 @@ def test_battery_of_nothing(tmp_path):
     try:
         report = group.battery("empty", [])
         assert (report.total, report.valid, report.unique) == (0, 0, 0)
+        assert encode_report(report) == encode_report(run_study("empty", []))
+    finally:
+        group.close()
+
+
+def test_battery_scatters_one_chunk_per_shard(tmp_path):
+    # one chunk per shard, not four per worker: the extra IPC round
+    # trips of a finer split cost more than they balance
+    store, _preds = random_store(triples=5)
+    shard_store(store, tmp_path / "g", shards=2)
+    group = ShardGroup(tmp_path / "g")
+    rounds = []
+    scatter = group.scatter
+
+    def counting_scatter(jobs):
+        rounds.append(len(jobs))
+        return scatter(jobs)
+
+    group.scatter = counting_scatter
+    try:
+        unique = [f"SELECT ?x WHERE {{ ?x <p{i}> ?y }}" for i in range(11)]
+        texts = unique + ["broken {{"] + unique[:4] + ["broken {{"]
+        report = group.battery("DBpedia", texts)
+        assert rounds == [2]
+        expected = run_study("DBpedia", texts)
+        assert (report.total, report.valid, report.unique) == (17, 15, 11)
+        assert encode_report(report) == encode_report(expected)
     finally:
         group.close()
 
