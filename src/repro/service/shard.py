@@ -13,12 +13,13 @@ closes the loop:
   fingerprints, and — crucially — the *source store's* content
   fingerprint, so a sharded deployment addresses exactly the result-cache
   keys the single-process deployment over the same data would.
-* :class:`ShardWorker` is one worker process (a single-slot
-  :class:`~concurrent.futures.ProcessPoolExecutor`) attached to one
-  shard image.  Workers attach via :func:`repro.store.mmapstore.attach`
-  (per-process memoized), so each holds its shard's pages mapped once
-  and keeps its own compiled-plan and specialization caches across
-  requests.
+* :class:`ShardWorker` is one worker process attached to one shard
+  image, driven over one persistent duplex pipe: the worker loop
+  (:func:`_serve`) answers each ``(fn, args)`` request with ``(ok,
+  value)``, and a per-worker lock keeps one request in flight per pipe.
+  Workers attach via :func:`repro.store.mmapstore.attach` (per-process
+  memoized), so each holds its shard's pages mapped once and keeps its
+  own compiled-plan and specialization caches across requests.
 * :class:`ShardGroup` is the coordinator: it routes whole queries to a
   single shard when every predicate of the expression lives there
   (consistent-hash routing, the fast path), and otherwise runs the RPQ
@@ -35,7 +36,7 @@ closes the loop:
   read the owner shard's image directly (coordinator-side zero-copy
   attach — the pages are already mapped by the shard's workers), and
   variable-predicate scans union per-predicate owner reads, so ``query``
-  requests never fall back to a gathered union store.
+  requests never build a union store.
 
 The exchange is *payload-aware* and runs in barrier rounds:
 
@@ -70,29 +71,38 @@ Glushkov state numbering is canonical per expression, so masks produced
 by independent worker processes compose; DFA state numbers are a
 process-local artifact and never leave a worker.
 
+Simple-path and trail searches whose expression spans several shards
+run on the coordinator, over one union store grown a predicate at a
+time from the coordinator-side mappings (see
+:meth:`ShardGroup._union_store`): the DFS needs global used-node /
+used-edge state, and reading the mapped images costs no worker round
+trip.
+
 Failure handling: every shard may have several *attachments*
-(``replicas``).  A worker that dies mid-call surfaces as
+(``replicas``).  A worker that dies mid-call (end of file, a reset or a
+broken pipe on its connection) surfaces as
 :class:`~concurrent.futures.process.BrokenProcessPool`; the coordinator
 fails over to the next live attachment, respawns the broken one, and
 only raises the typed :class:`~repro.errors.ShardError` when a shard
-has no live attachment even after a respawn.  All coordinator methods
-are blocking and run on the service scheduler's worker threads, so the
-existing admission-control / deadline / single-flight machinery wraps
-the scatter path unchanged.
+has no live attachment even after a respawn.  An exception a task
+raises inside a live worker is sent back and re-raised in the caller.
+All coordinator methods are blocking and run on the service scheduler's
+worker threads, so the existing admission-control / deadline /
+single-flight machinery wraps the scatter path unchanged.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
 import os
 import threading
 from bisect import bisect_right
-from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from functools import lru_cache
+from multiprocessing.connection import Connection, wait
 from pathlib import Path
 from typing import (
     Any,
@@ -130,10 +140,6 @@ RING_POINTS = 64
 #: battery scatter chunk bound (payload size only; fan-out is one chunk
 #: per shard, see :meth:`ShardGroup.battery`)
 BATTERY_CHUNK_SIZE = 256
-
-#: union-store LRU entries kept per group for multi-shard simple/trail
-#: decisions (read at eviction time)
-_UNION_CACHE_ENTRIES = 8
 
 #: estimated per-entry wire overhead of one frontier-exchange entry
 #: beyond its token/name text: the 8-byte state mask plus framing.  The
@@ -393,30 +399,76 @@ def _task_search(
     )
 
 
-def _task_edges(
-    image: str, predicates: List[str]
-) -> List[Tuple[str, str, str]]:
-    store = _shard(image)
-    wanted = set(predicates)
-    return [
-        triple for triple in store.triples() if triple[1] in wanted
-    ]
-
-
 def _task_die() -> None:  # pragma: no cover - the worker never returns
     """Test/chaos hook: kill the worker process from inside (hard exit,
     so the coordinator sees BrokenProcessPool exactly as on a crash)."""
     os._exit(1)
 
 
+def _serve(conn: Connection) -> None:
+    """The worker process loop: answer each ``(fn, args)`` request with
+    ``(True, result)``, or ``(False, exception)`` when the task raised,
+    until the coordinator closes its end."""
+    while True:
+        try:
+            fn, args = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = (True, fn(*args))
+        except Exception as exc:
+            reply = (False, exc)
+        try:
+            conn.send(reply)
+        except Exception as exc:  # an unpicklable result or exception
+            conn.send((False, RuntimeError(f"unpicklable shard reply: {exc!r}")))
+
+
+class _Reply:
+    """One request in flight on a worker's pipe.  The worker's lock is
+    held from the send until :meth:`result` has read the reply, so
+    replies of concurrent callers never cross."""
+
+    __slots__ = ("worker", "conn")
+
+    def __init__(self, worker: "ShardWorker", conn: Connection):
+        self.worker = worker
+        self.conn = conn
+
+    def result(self, timeout: Opt[float] = None) -> Any:
+        """Read the reply (once): the task's return value.  Re-raises
+        the task's exception, and raises :class:`BrokenProcessPool` when
+        the worker died."""
+        if timeout is not None and not self.conn.poll(timeout):
+            # still pending: the lock stays held for a later result()
+            raise TimeoutError(
+                f"shard worker {self.worker.shard}/"
+                f"{self.worker.replica} gave no reply in {timeout} s"
+            )
+        try:
+            ok, value = self.conn.recv()
+        except (EOFError, OSError) as exc:
+            raise BrokenProcessPool(
+                f"shard worker {self.worker.shard}/"
+                f"{self.worker.replica} died: {exc!r}"
+            ) from exc
+        finally:
+            self.worker._lock.release()
+        if not ok:
+            raise value
+        return value
+
+
 class ShardWorker:
     """One worker process attached to one shard image.
 
-    A single-slot :class:`ProcessPoolExecutor` *is* the process: calls
-    serialize through it, a crash surfaces as
-    :class:`BrokenProcessPool`, and :meth:`respawn` replaces the
-    process while keeping this object (and its identity in the group)
-    stable.
+    The process runs :func:`_serve` on one end of a duplex
+    :func:`multiprocessing.Pipe`; the coordinator keeps the other.  A
+    per-worker lock is held from each send until its reply is read, so
+    calls serialize through the pipe.  A dead process (end of file, a
+    reset or a broken pipe) surfaces as :class:`BrokenProcessPool`, and
+    :meth:`respawn` replaces the process while keeping this object (and
+    its identity in the group) stable.
     """
 
     def __init__(self, shard: int, replica: int, image: str):
@@ -425,12 +477,57 @@ class ShardWorker:
         self.image = image
         self.respawns = 0
         self.broken = False
-        self._executor = ProcessPoolExecutor(max_workers=1)
+        self._lock = threading.Lock()
+        self._start()
 
-    def submit(self, fn: Callable, *args):
-        """Submit without waiting; raises :class:`BrokenProcessPool`
-        immediately when the process is already known-dead."""
-        return self._executor.submit(fn, *args)
+    def _start(self) -> None:
+        # the default start method, as the executor this replaced used:
+        # fork on Linux, where a spawned interpreter would add its
+        # import time to every worker start and respawn
+        conn, child = multiprocessing.Pipe()
+        process = multiprocessing.Process(
+            target=_serve, args=(child,), daemon=True
+        )
+        process.start()
+        child.close()
+        self._conn: Opt[Connection] = conn
+        self._process = process
+
+    def _stop(self) -> None:
+        """End the process and close the pipe (caller holds the lock)."""
+        process = self._process
+        if process.is_alive():
+            process.terminate()
+        process.join(5)
+        if process.is_alive():  # pragma: no cover - ignored SIGTERM
+            process.kill()
+            process.join()
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
+
+    def submit(self, fn: Callable, *args) -> _Reply:
+        """Send one request and return its pending reply without
+        waiting.  Blocks while another request to this worker is in
+        flight; raises :class:`BrokenProcessPool` when the pipe is
+        already broken and :class:`RuntimeError` after :meth:`close`."""
+        self._lock.acquire()
+        try:
+            conn = self._conn
+            if conn is None:
+                raise RuntimeError(
+                    f"shard worker {self.shard}/{self.replica} is closed"
+                )
+            conn.send((fn, args))
+        except OSError as exc:
+            self._lock.release()
+            raise BrokenProcessPool(
+                f"shard worker {self.shard}/{self.replica} died: {exc!r}"
+            ) from exc
+        except BaseException:
+            self._lock.release()
+            raise
+        return _Reply(self, conn)
 
     def call(self, fn: Callable, *args):
         return self.submit(fn, *args).result()
@@ -439,13 +536,21 @@ class ShardWorker:
         return self.call(_task_ping, self.image)
 
     def respawn(self) -> None:
-        self._executor.shutdown(wait=False, cancel_futures=True)
-        self._executor = ProcessPoolExecutor(max_workers=1)
+        with self._lock:
+            self._stop()
+            self._start()
         self.respawns += 1
         self.broken = False
 
     def close(self) -> None:
-        self._executor.shutdown(wait=False, cancel_futures=True)
+        """Stop the process.  A request still in flight fails as
+        :class:`BrokenProcessPool`; later submits raise
+        :class:`RuntimeError`."""
+        # terminate first: the in-flight reader sees end of file and
+        # releases the lock
+        self._process.terminate()
+        with self._lock:
+            self._stop()
 
 
 class ShardGroup:
@@ -493,8 +598,11 @@ class ShardGroup:
             for shard in range(self.manifest.shards)
         ]
         self._node_names: Opt[List[str]] = None
-        self._union_cache: "OrderedDict[Tuple[str, frozenset], TripleStore]" = (
-            OrderedDict()
+        #: the multi-shard simple/trail union and the predicates loaded
+        #: into it, published together (see :meth:`_union_store`)
+        self._union: Tuple[TripleStore, FrozenSet[str]] = (
+            TripleStore(),
+            frozenset(),
         )
         self._mapped: List[Opt[Any]] = [None] * self.manifest.shards
         self._executor: Opt["ShardPatternExecutor"] = None
@@ -595,8 +703,9 @@ class ShardGroup:
         """The shard's image mapped into *this* process (zero-copy; the
         physical pages are shared with the shard's worker processes).
         Scatter pruning reads the per-node label summaries through it,
-        and :class:`ShardPatternExecutor` serves owners()-routed SPARQL
-        reads from it without an IPC round trip.
+        :class:`ShardPatternExecutor` serves owners()-routed SPARQL
+        reads from it, and :meth:`_union_store` loads predicates from
+        it, all without an IPC round trip.
 
         The per-process :func:`~repro.store.mmapstore.attach` cache owns
         the mapping — several groups over one directory share it, so
@@ -629,7 +738,8 @@ class ShardGroup:
                 return worker.call(fn, *args)
             except BrokenProcessPool:
                 worker.broken = True
-                self.failovers += 1
+                with self._lock:
+                    self.failovers += 1
         primary = attachments[0]
         with self._lock:
             if primary.broken:
@@ -649,36 +759,64 @@ class ShardGroup:
         return self.workers[shard][0]
 
     def scatter(self, jobs: Sequence[Tuple[int, Callable, Tuple]]) -> List[Any]:
-        """Run ``(shard, fn, args)`` jobs concurrently — one in-flight
-        call per job, gathered in order once all have finished.  A job
-        whose worker died fails over through :meth:`call_shard` (which
-        respawns if needed); the gather hook fires once per round, after
+        """Run ``(shard, fn, args)`` jobs concurrently and return their
+        results in job order.
+
+        Each sub-round sends at most one request per shard, in ascending
+        shard order (so two concurrent scatters take worker locks in the
+        same order and cannot deadlock), then blocks on the module-level
+        ``wait`` until every reply is read.  Further jobs for a shard go
+        to later sub-rounds: two requests queued on one pipe could
+        deadlock on its buffer.  A job whose worker died fails over
+        through :meth:`call_shard` (which respawns if needed).  A task's
+        exception is re-raised only after every pending reply of its
+        sub-round is read.  The gather hook fires once per call, after
         all results are in."""
-        submitted: List[Tuple[int, Callable, Tuple, Opt[ShardWorker], Any]] = []
-        for shard, fn, args in jobs:
-            worker = self._live_worker(shard)
-            try:
-                future = worker.submit(fn, *args)
-            except (BrokenProcessPool, RuntimeError):
-                worker.broken = True
-                submitted.append((shard, fn, args, None, None))
-                continue
-            submitted.append((shard, fn, args, worker, future))
-        # block on the whole round in one call: this module-level
-        # ``wait`` is where perfbench's traced run times worker wait
-        wait([future for *_, future in submitted if future is not None])
-        results: List[Any] = []
-        for shard, fn, args, worker, future in submitted:
-            if future is None:
+        results: List[Any] = [None] * len(jobs)
+        todo = sorted(range(len(jobs)), key=lambda index: jobs[index][0])
+        failed: List[int] = []
+        while todo:
+            batch: List[int] = []
+            later: List[int] = []
+            shards: Set[int] = set()
+            for index in todo:
+                shard = jobs[index][0]
+                (later if shard in shards else batch).append(index)
+                shards.add(shard)
+            todo = later
+            error: Opt[BaseException] = None
+            pending: Dict[Connection, Tuple[int, _Reply]] = {}
+            for index in batch:
+                shard, fn, args = jobs[index]
+                worker = self._live_worker(shard)
+                try:
+                    reply = worker.submit(fn, *args)
+                except BrokenProcessPool:
+                    worker.broken = True
+                    failed.append(index)
+                    continue
+                except BaseException as exc:
+                    error = exc
+                    break
+                pending[reply.conn] = (index, reply)
+            while pending:
+                for conn in wait(list(pending)):
+                    index, reply = pending.pop(conn)
+                    try:
+                        results[index] = reply.result()
+                    except BrokenProcessPool:
+                        reply.worker.broken = True
+                        failed.append(index)
+                    except BaseException as exc:
+                        if error is None:
+                            error = exc
+            if error is not None:
+                raise error
+        for index in failed:
+            shard, fn, args = jobs[index]
+            with self._lock:
                 self.failovers += 1
-                results.append(self.call_shard(shard, fn, *args))
-                continue
-            try:
-                results.append(future.result())
-            except BrokenProcessPool:
-                worker.broken = True
-                self.failovers += 1
-                results.append(self.call_shard(shard, fn, *args))
+            results[index] = self.call_shard(shard, fn, *args)
         if self.gather_hook is not None:
             self.gather_hook()
         return results
@@ -973,41 +1111,43 @@ class ShardGroup:
                     forbid_nodes,
                 )
             )
-        union = self._union_store(owners, predicates)
+        union = self._union_store(predicates)
         return bool(plan.search(union, source, target, forbid_nodes))
 
-    def _union_store(
-        self, owners: List[int], predicates: List[str]
-    ) -> TripleStore:
-        """The expression-relevant edges gathered into one coordinator-
-        side store (simple/trail DFS needs global used-node/used-edge
-        state, which does not decompose over shards).  Shard edge sets
-        are disjoint, so trail edge-multiplicity is preserved; the
-        result is LRU-cached per ``(source fingerprint, predicate set)``
-        — frozen shards never invalidate an entry, but a rebuilt group
-        over a different source store can never collide with one."""
-        key = (self.manifest.source_fingerprint, frozenset(predicates))
-        cached = self._union_cache.get(key)
-        if cached is not None:
-            self._union_cache.move_to_end(key)
-            return cached
-        union = TripleStore()
-        for edges in self.scatter(
-            [
-                (
-                    shard,
-                    _task_edges,
-                    (self.workers[shard][0].image, predicates),
-                )
-                for shard in owners
-            ]
-        ):
-            for s, p, o in edges:
-                union.add(s, p, o)
-        self._union_cache[key] = union
-        while len(self._union_cache) > _UNION_CACHE_ENTRIES:
-            self._union_cache.popitem(last=False)
-        return union
+    def _union_store(self, predicates: List[str]) -> TripleStore:
+        """A coordinator-side store holding every edge of ``predicates``
+        (simple/trail DFS needs global used-node/used-edge state, which
+        does not decompose over shards).
+
+        One union serves every expression: it grows one predicate at a
+        time from the owner shard's coordinator-side mapping (zero-copy
+        reads, no worker round trip), and holds at most the source
+        store's predicates.  The search only walks the expression's own
+        predicates, so edges of other loaded predicates change no
+        answer.  Shard edge sets are disjoint, so trail edge-multiplicity
+        is preserved.  Growth copies the published store under the group
+        lock and publishes ``(store, predicates)`` as one tuple: a
+        concurrent search never sees a store being mutated or a
+        predicate set paired with an older store.  The images are
+        frozen, so nothing ever invalidates it."""
+        union, loaded = self._union
+        if loaded.issuperset(predicates):
+            return union
+        with self._lock:
+            union, loaded = self._union
+            missing = [p for p in predicates if p not in loaded]
+            if missing:
+                union = TripleStore(union.triples())
+                for predicate in missing:
+                    shard = self.manifest.predicates.get(predicate)
+                    if shard is None:
+                        continue
+                    for s, p, o in self._shard_mapped(shard).triples(
+                        None, predicate, None
+                    ):
+                        union.add(s, p, o)
+                self._union = (union, loaded.union(missing))
+            return union
 
     # -- log battery -------------------------------------------------------------
 
@@ -1047,8 +1187,8 @@ class ShardPatternExecutor(PatternExecutor):
     Every concrete-predicate access goes straight to the shard that
     owns the predicate — through the coordinator-side zero-copy mapping
     of that shard's image, so pattern evaluation pays neither an IPC
-    round trip nor the union-store gather the existence queries use.
-    Variable-predicate accesses union over the owner shards in
+    round trip nor a copy into the union store the existence queries
+    use.  Variable-predicate accesses union over the owner shards in
     deterministic (shard, predicate) order.  Shard images partition the
     source store's triples exactly, so the union *is* the source store.
     """

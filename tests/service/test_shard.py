@@ -7,8 +7,12 @@ oracle fuzzes.
 """
 
 import asyncio
+import multiprocessing
 import random
+import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -17,13 +21,13 @@ from repro.errors import (
     StoreFrozenError,
     StoreUnavailableError,
 )
+from repro.graphs.engine import compile_rpq
 from repro.graphs.paths import evaluate_rpq, exists_simple_path, exists_trail
 from repro.graphs.rdf import TripleStore
 from repro.logs.analyzer import encode_report
 from repro.logs.pipeline import run_study
 from repro.regex.parser import parse as parse_regex
 from repro.service import EmbeddedService, ServiceConfig
-from repro.service import shard as shard_module
 from repro.service.shard import (
     MANIFEST_NAME,
     ShardGroup,
@@ -362,6 +366,84 @@ def test_group_stats_shape(tmp_path):
         group.close()
 
 
+def test_concurrent_calls_on_one_attachment_never_cross_replies(tmp_path):
+    store, _preds = random_store(triples=10)
+    shard_store(store, tmp_path / "g", shards=2)
+    group = ShardGroup(tmp_path / "g")
+    worker = group.workers[0][0]
+    start = threading.Barrier(4)
+
+    def calls(thread):
+        start.wait(timeout=30)
+        requests = [thread * 1000 + i for i in range(200)]
+        return requests, [worker.call(str, n) for n in requests]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for requests, replies in pool.map(calls, range(4), timeout=60):
+                assert replies == [str(n) for n in requests]
+    finally:
+        sys.setswitchinterval(interval)
+        group.close()
+
+
+def test_a_raising_job_re_raises_from_scatter_and_workers_recover(tmp_path):
+    store, _preds = random_store(triples=10)
+    shard_store(store, tmp_path / "g", shards=2)
+    group = ShardGroup(tmp_path / "g")
+    try:
+        # the error returns first; the slow reply on shard 0 is still
+        # pending when the scatter decides to raise
+        with pytest.raises(ValueError):
+            group.scatter(
+                [
+                    (0, time.sleep, (0.2,)),
+                    (1, int, ("not a number",)),
+                    (1, str, (2,)),
+                ]
+            )
+        assert group.failovers == 0
+        # every pending reply was read before the raise: no worker is
+        # left locked, and both pipes answer the next requests
+        assert not any(
+            worker._lock.locked()
+            for attachments in group.workers
+            for worker in attachments
+        )
+        assert group.scatter(
+            [(1, str, (3,)), (0, str, (4,)), (1, str, (5,))]
+        ) == ["3", "4", "5"]
+        assert group.call_shard(0, str, 6) == "6"
+        assert group.check_health()["healthy"] == 2
+    finally:
+        group.close()
+
+
+def test_close_reaps_workers_and_respawn_replaces_the_process(tmp_path):
+    store, _preds = random_store(triples=10)
+    shard_store(store, tmp_path / "g", shards=2)
+    group = ShardGroup(tmp_path / "g")
+    try:
+        worker = group.workers[0][0]
+        before = worker.ping()["pid"]
+        worker.respawn()
+        pids = {
+            attached.ping()["pid"]
+            for attachments in group.workers
+            for attached in attachments
+        }
+        assert before not in pids and len(pids) == 2
+        pids.add(before)
+    finally:
+        group.close()
+    alive = {child.pid for child in multiprocessing.active_children()}
+    assert not alive & pids
+    with pytest.raises(RuntimeError):
+        group.workers[0][0].call(str, 1)
+
+
 # -- service integration ------------------------------------------------------
 
 
@@ -528,23 +610,103 @@ def test_exchange_answers_and_accounting_are_deterministic(tmp_path):
         second.close()
 
 
-def test_union_cache_is_fingerprint_keyed_with_bounded_capacity(
-    tmp_path, monkeypatch
-):
+def test_multi_owner_exists_makes_no_worker_round_trip(tmp_path):
     store, hot, colds = skewed_store(hot=20, cold=20)
     shard_store(store, tmp_path / "g", shards=3)
-    monkeypatch.setattr(shard_module, "_UNION_CACHE_ENTRIES", 1)
     group = ShardGroup(tmp_path / "g")
+
+    def no_round_trip(*args):
+        raise AssertionError("multi-shard exists reached a worker")
+
+    group.scatter = no_round_trip
+    group.call_shard = no_round_trip
     try:
-        group.exists(f"{hot} {colds[0]}", "n0", "n1", "simple")
-        assert len(group._union_cache) == 1
-        first_key = next(iter(group._union_cache))
-        assert first_key[0] == group.manifest.source_fingerprint
-        group.exists(f"{colds[0]} {colds[1]}", "n0", "n1", "trail")
-        # a different predicate set evicted the first entry (capacity 1)
-        assert len(group._union_cache) == 1
-        assert next(iter(group._union_cache)) != first_key
+        for text in (f"{hot} {colds[0]}", f"({colds[0]} | {colds[1]})+"):
+            expr = parse_regex(text, multi_char=True)
+            assert len(group.manifest.owners(expr.alphabet())) > 1
+            for source, target in (("n0", "n1"), ("n2", "n2"), ("n3", "n0")):
+                assert group.exists(
+                    text, source, target, "simple"
+                ) == exists_simple_path(store, expr, source, target)
+                assert group.exists(
+                    text, source, target, "trail"
+                ) == exists_trail(store, expr, source, target)
     finally:
+        group.close()
+
+
+def test_union_reads_each_predicate_once(tmp_path):
+    store, hot, colds = skewed_store(hot=20, cold=20)
+    shard_store(store, tmp_path / "g", shards=3)
+    group = ShardGroup(tmp_path / "g")
+    mapped = group._shard_mapped
+    reads = []
+
+    class CountingMapping:
+        def __init__(self, shard):
+            self.inner = mapped(shard)
+
+        def triples(self, s, p, o):
+            reads.append(p)
+            return self.inner.triples(s, p, o)
+
+    group._shard_mapped = CountingMapping
+    try:
+        preds = [hot] + colds
+        for first in preds:
+            for second in preds:
+                if first != second:
+                    group.exists(f"{first} {second}", "n0", "n1", "trail")
+        # every predicate is loaded once, by the first search needing it
+        assert sorted(reads) == sorted(preds)
+        union, loaded = group._union
+        assert loaded == frozenset(preds)
+        assert len(union) == len(store)
+    finally:
+        group.close()
+
+
+def test_concurrent_exists_agree_with_single_process_search(tmp_path):
+    store, preds = random_store(seed=17, nodes=10, triples=45)
+    shard_store(store, tmp_path / "g", shards=3)
+    group = ShardGroup(tmp_path / "g")
+    cases = [
+        (f"{a} {b}", source, target, forbid)
+        for a in preds
+        for b in preds
+        if a != b
+        for source in ("n0", "n4")
+        for target in ("n1", "n4")
+        for forbid in (True, False)
+    ]
+    expected = [
+        compile_rpq(parse_regex(text, multi_char=True)).search(
+            store, source, target, forbid
+        )
+        for text, source, target, forbid in cases
+    ]
+    start = threading.Barrier(4)
+
+    def run_all(offset):
+        start.wait(timeout=30)
+        # each thread walks the cases in a different order, so the
+        # union grows under contention
+        order = cases[offset:] + cases[:offset]
+        return [
+            group.exists(text, source, target, "simple" if forbid else "trail")
+            for text, source, target, forbid in order
+        ], offset
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            offsets = [i * len(cases) // 4 for i in range(4)]
+            outcomes = list(pool.map(run_all, offsets, timeout=60))
+        for answers, offset in outcomes:
+            assert answers == expected[offset:] + expected[:offset]
+    finally:
+        sys.setswitchinterval(interval)
         group.close()
 
 
