@@ -45,7 +45,7 @@ from repro.logs.corpus import normalize_text
 from repro.logs.workload import DBPEDIA, generate_source_log
 from repro.regex.parser import parse as parse_regex
 from repro.service import ReproServer, ServiceConfig, connect
-from repro.service.shard import ShardGroup, ShardRing, shard_store
+from repro.service.shard import shard_store
 from repro.sparql.parser import parse_query
 from repro.sparql.serialize import serialize_query
 
@@ -439,144 +439,6 @@ async def bench_sharded(items):
     }
 
 
-# ---------------------------------------------------------------------------
-# exchange phase: label-pruned frontier exchange
-# ---------------------------------------------------------------------------
-
-SKEW_NODES = int(os.environ.get("REPRO_BENCH_SERVICE_SKEW_NODES", "240"))
-EXCHANGE_REPEATS = int(
-    os.environ.get("REPRO_BENCH_SERVICE_EXCHANGE_REPEATS", "3")
-)
-
-
-def _distinct_shard_predicates(shards: int, needed: int):
-    """Predicate names landing (by the deterministic sha256 ring) on
-    ``needed`` distinct shards — so the skewed store's cold predicates
-    are genuinely owned elsewhere than the hot one."""
-    ring = ShardRing(shards)
-    found = {}
-    index = 0
-    while len(found) < needed:
-        name = f"pred{index}"
-        shard = ring.shard_of(name)
-        if shard not in found:
-            found[shard] = name
-        index += 1
-    return [found[shard] for shard in sorted(found)]
-
-
-def build_skewed_store(num_nodes: int, seed: int):
-    """A label-skewed store: one hot predicate carries ~95% of the
-    triples over every node, while each cold predicate touches only a
-    ~3% node slice.  Broadcast scatter ships the full hot frontier to
-    every cold shard; the label summaries prove almost none of it can
-    match there."""
-    rng = random.Random(seed)
-    preds = _distinct_shard_predicates(SHARDS, min(SHARDS, 4))
-    hot, colds = preds[0], preds[1:]
-    names = [f"n{i}" for i in range(num_nodes)]
-    store = TripleStore()
-    for i, name in enumerate(names):  # a hot ring keeps the walk live
-        store.add(name, hot, names[(i + 1) % num_nodes])
-    while len(store) < 6 * num_nodes:
-        store.add(rng.choice(names), hot, rng.choice(names))
-    cold_slice = names[: max(4, num_nodes // 32)]
-    for cold in colds:
-        for _ in range(len(cold_slice)):
-            store.add(
-                rng.choice(cold_slice), cold, rng.choice(cold_slice)
-            )
-    return store, hot, colds
-
-
-def build_exchange_workload(hot: str, colds):
-    """Multi-shard RPQs whose frontiers are hot-dominated and whose
-    alphabets span every cold shard: the shapes where broadcast
-    scatter pays the worst-case payload (every owner shard receives
-    every frontier entry, every round)."""
-    c0, c1, c2 = (list(colds) * 3)[:3]
-    return [
-        f"{hot}* ({c0} | {c1} | {c2}) {hot}*",
-        f"({hot} | {c0} | {c1} | {c2})*",
-        f"{c0} {hot}* ^{c1} {c2}?",
-        f"{hot} {hot}* ({c0} | {c1}) {c2}?",
-        f"({hot} | {c0})* ({c1} | {c2}) {hot}*",
-    ]
-
-
-def _timed_exchange(group, exprs):
-    started = time.perf_counter()
-    answers = [group.evaluate_walk(text, None, None) for text in exprs]
-    return answers, time.perf_counter() - started
-
-
-def bench_exchange():
-    """The frontier exchange itself, coordinator-side (no sockets):
-    broadcast vs label-pruned scatter payloads (deterministic byte
-    accounting, so the reduction gate is CPU-independent) and wall time
-    (min over repeats)."""
-    store, hot, colds = build_skewed_store(SKEW_NODES, SEED + 10)
-    exprs = build_exchange_workload(hot, colds)
-    expected = [
-        evaluate_rpq(store, parse_regex(text, multi_char=True))
-        for text in exprs
-    ]
-    with tempfile.TemporaryDirectory() as tmp:
-        shard_dir = pathlib.Path(tmp) / "g"
-        shard_store(store, shard_dir, shards=SHARDS)
-        modes = {
-            "broadcast_barrier": dict(label_prune=False),
-            "pruned_barrier": dict(label_prune=True),
-        }
-        stats = {}
-        divergences = 0
-        timings = {name: [] for name in modes}
-        for repeat in range(EXCHANGE_REPEATS):
-            for name, flags in modes.items():
-                group = ShardGroup(shard_dir, **flags)
-                try:
-                    answers, seconds = _timed_exchange(group, exprs)
-                    timings[name].append(seconds)
-                    divergences += sum(
-                        answer != want
-                        for answer, want in zip(answers, expected)
-                    )
-                    if repeat == 0:
-                        stats[name] = group.stats()
-                finally:
-                    group.close()
-    broadcast, pruned = stats["broadcast_barrier"], stats["pruned_barrier"]
-    considered = pruned["pruned_entries"] + pruned["scattered_entries"]
-    result = {
-        "shards": SHARDS,
-        "store_nodes": SKEW_NODES,
-        "store_triples": len(store),
-        "expressions": len(exprs),
-        "repeats": EXCHANGE_REPEATS,
-        "divergences": divergences,
-        "scatter_bytes_reduction": round(
-            broadcast["scatter_bytes"] / pruned["scatter_bytes"], 2
-        ),
-        "pruning_hit_rate": round(
-            pruned["pruned_entries"] / considered, 4
-        ),
-    }
-    for name in modes:
-        mode = stats[name]
-        result[name] = {
-            "seconds": round(min(timings[name]), 4),
-            "scatter_bytes": mode["scatter_bytes"],
-            "gather_bytes": mode["gather_bytes"],
-            "rounds": mode["rounds"],
-            "bytes_per_round": round(
-                mode["scatter_bytes"] / max(1, mode["rounds"]), 1
-            ),
-            "pruned_entries": mode["pruned_entries"],
-            "scattered_entries": mode["scattered_entries"],
-        }
-    return result
-
-
 def run_sharded_benchmark():
     items = build_sharded_workload(SHARD_REQUESTS)
     print(
@@ -585,11 +447,6 @@ def run_sharded_benchmark():
         f"CPU(s) (REPRO_BENCH_SERVICE_SHARD_REQUESTS to scale) ..."
     )
     result = asyncio.run(bench_sharded(items))
-    print(
-        f"exchange phase: label-skewed multi-shard RPQs x "
-        f"{EXCHANGE_REPEATS} repeats, broadcast vs pruned ..."
-    )
-    result["exchange"] = bench_exchange()
     SHARDED_RESULTS_PATH.parent.mkdir(exist_ok=True)
     SHARDED_RESULTS_PATH.write_text(json.dumps(result, indent=2) + "\n")
     print("\n===== service (sharded) =====")
@@ -644,13 +501,6 @@ def test_sharded_scatter_gather_speedup():
     # CPU-gate pattern)
     if result["usable_cpus"] >= 4 and result["shards"] >= 4:
         assert result["sharded_over_single_speedup"] >= 2.5, result
-    exchange = result["exchange"]
-    # every mode must return the direct engine's answers exactly
-    assert exchange["divergences"] == 0, exchange
-    # the byte accounting is deterministic (estimated wire payload, not
-    # host timing), so the pruning gate holds on any machine
-    assert exchange["scatter_bytes_reduction"] >= 3.0, exchange
-    assert exchange["pruning_hit_rate"] > 0.5, exchange
 
 
 if __name__ == "__main__":

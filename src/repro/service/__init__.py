@@ -12,7 +12,7 @@ Stores can be served from memory, from one frozen mmap image, or from
 a *sharded deployment*: a directory of per-shard images written by
 :func:`shard_store`, attached zero-copy by a pool of worker processes
 and evaluated scatter-gather by :class:`ShardGroup` — with a
-label-pruned, round-barrier frontier exchange for multi-shard RPQs and
+pruned, round-barrier frontier exchange for multi-shard RPQs and
 owners()-routed SPARQL evaluation (the ``query`` op) against the shard images.  All
 messages are typed wire-v2 dataclasses (:class:`RpqRequest` …
 :class:`StatsResponse`); the pre-typed v1 dict encoding is rejected

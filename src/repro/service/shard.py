@@ -40,16 +40,13 @@ closes the loop:
 
 The exchange is *payload-aware* and runs in barrier rounds:
 
-* **Label pruning** (``label_prune=True``) — the coordinator attaches
-  each shard image itself and consults the per-node label summary
-  written at :func:`shard_store` time (image format 2, see
-  :mod:`repro.store.mmapstore`): a frontier entry ships to a shard only
-  when its mask has a pending transition on a predicate the shard owns
-  *and* the node actually has a matching local edge.  Skewed workloads
-  stop paying broadcast cost; entries a broadcast would have shipped
-  are counted in ``pruned_entries``.  Images without a summary
-  (format 1, or > 63 predicates) degrade gracefully to shard-level
-  predicate pruning plus node-existence pruning.
+* **Frontier pruning** — the coordinator maps each shard image itself,
+  and a frontier entry ships to a shard only when some NFA atom with a
+  pending transition from the entry's mask has the node in that shard's
+  CSR adjacency for the atom (``forward_adjacency``, or
+  ``backward_adjacency`` for ``^p``): a bisect over the mapped keys,
+  exact for any number of predicates.  Entries a broadcast to every
+  owner shard would have shipped are counted in ``pruned_entries``.
 * **Barrier rounds** — each round scatters every shard's buffered
   entries through :meth:`ShardGroup.scatter` (so the exchange shares
   its replica failover), gathers all partials, and merges them before
@@ -143,9 +140,10 @@ BATTERY_CHUNK_SIZE = 256
 
 #: estimated per-entry wire overhead of one frontier-exchange entry
 #: beyond its token/name text: the 8-byte state mask plus framing.  The
-#: byte counters exist to compare pruned against broadcast payload, so
-#: the accounting must be deterministic and host-independent — it is an
-#: estimate of serialized size, not a measurement of pickle output.
+#: byte counters feed the per-op scatter/gather bytes of the benchmark
+#: trace, so the accounting must be deterministic and host-independent —
+#: it is an estimate of serialized size, not a measurement of pickle
+#: output.
 ENTRY_OVERHEAD_BYTES = 12
 
 
@@ -563,21 +561,11 @@ class ShardGroup:
     ``sharded-service`` differential oracle holds them to it.
     """
 
-    def __init__(
-        self,
-        target: Any,
-        replicas: int = 1,
-        *,
-        label_prune: bool = True,
-    ):
+    def __init__(self, target: Any, replicas: int = 1):
         if replicas < 1:
             raise ValueError("every shard needs at least one attachment")
         self.manifest = ShardManifest.load(target)
         self.replicas = replicas
-        #: label-pruned scatter (False: broadcast the frontier to every
-        #: owner shard, the pre-pruning behaviour — kept for comparison
-        #: benchmarks and equivalence tests)
-        self.label_prune = label_prune
         self.failovers = 0
         # exchange payload accounting (see module docstring); mirrored
         # into the service metrics registry when mounted in a core
@@ -663,7 +651,6 @@ class ShardGroup:
                 for attachments in self.workers
                 for worker in attachments
             ),
-            "label_prune": self.label_prune,
             "scatter_bytes": self.scatter_bytes,
             "gather_bytes": self.gather_bytes,
             "rounds": self.rounds,
@@ -702,7 +689,7 @@ class ShardGroup:
     def _shard_mapped(self, shard: int):
         """The shard's image mapped into *this* process (zero-copy; the
         physical pages are shared with the shard's worker processes).
-        Scatter pruning reads the per-node label summaries through it,
+        Scatter pruning bisects its CSR adjacency keys,
         :class:`ShardPatternExecutor` serves owners()-routed SPARQL
         reads from it, and :meth:`_union_store` loads predicates from
         it, all without an IPC round trip.
@@ -898,29 +885,26 @@ class ShardGroup:
 
     def _exchange_contexts(
         self, plan, owners: List[int]
-    ) -> Dict[int, List[Tuple[str, List[int], bool, Opt[int]]]]:
+    ) -> Dict[int, List[Tuple[str, List[int], Any]]]:
         """Per owner shard, the NFA atoms whose predicate the shard owns
-        as ``(label, delta, inverse, summary bit)``.  The summary bit is
-        the predicate's position in the *shard image's* label bitmasks
-        (``None`` when the image carries no summary — format-1 images or
-        > 63 predicates — in which case node-level pruning degrades to
-        node-existence pruning for that atom)."""
-        contexts: Dict[int, List[Tuple[str, List[int], bool, Opt[int]]]] = {}
+        as ``(label, delta, adjacency)``: the shard image's forward CSR
+        adjacency of the predicate, or its backward one for ``^p``."""
+        contexts: Dict[int, List[Tuple[str, List[int], Any]]] = {}
         for shard in owners:
             mapped = self._shard_mapped(shard)
-            summarized = mapped.has_label_summary
-            atoms: List[Tuple[str, List[int], bool, Opt[int]]] = []
+            atoms: List[Tuple[str, List[int], Any]] = []
             for label in plan.atoms:
                 inverse = label.startswith("^")
-                predicate = label[1:] if inverse else label
-                if self.manifest.predicates.get(predicate) != shard:
+                # a shard image holds exactly the predicates it owns
+                pid = mapped.predicate_id(label[1:] if inverse else label)
+                if pid is None:
                     continue
-                bit: Opt[int] = None
-                if summarized:
-                    pid = mapped.predicate_id(predicate)
-                    if pid is not None:
-                        bit = 1 << pid
-                atoms.append((label, plan.deltas[label], inverse, bit))
+                adjacency = (
+                    mapped.backward_adjacency(pid)
+                    if inverse
+                    else mapped.forward_adjacency(pid)
+                )
+                atoms.append((label, plan.deltas[label], adjacency))
             contexts[shard] = atoms
         return contexts
 
@@ -937,13 +921,11 @@ class ShardGroup:
         ``(source, node) -> state mask`` table and which bits are new;
         workers own the edges and advance the frontier one level.
 
-        Scatter is label-pruned (an entry ships to a shard only when
-        its mask has a pending transition the shard's labels — and,
-        with an image summary, the node's own labels — can serve)
-        unless the group was built with ``label_prune=False``; pruning
-        changes the payload, never the answer set.  Rounds are barriers:
-        every shard with buffered entries is scattered to, and all
-        partials merge before the next round.
+        Scatter is pruned: an entry ships to a shard only when one of
+        the atoms its mask can step has the node in the shard's CSR
+        adjacency.  Pruning changes the payload, never the answer set.
+        Rounds are barriers: every shard with buffered entries is
+        scattered to, and all partials merge before the next round.
         """
         if sources is not None:
             seeds = sorted(set(sources))
@@ -972,59 +954,36 @@ class ShardGroup:
         reached: Dict[Tuple[str, str], int] = {
             (name, name): start_mask for name in seeds
         }
-        contexts = (
-            self._exchange_contexts(plan, owners) if self.label_prune else None
-        )
-        # (relevant, has unsummarized atom, pending out bits, in bits)
-        # per (shard, mask) — masks repeat heavily across a frontier
-        need_memo: Dict[Tuple[int, int], Tuple[bool, bool, int, int]] = {}
+        contexts = self._exchange_contexts(plan, owners)
+        # the adjacencies of the atoms a mask can step, per (shard,
+        # mask) — masks repeat heavily across a frontier
+        step_memo: Dict[Tuple[int, int], List[Any]] = {}
         pending: Dict[int, Dict[Tuple[str, str], int]] = {
             shard: {} for shard in owners
         }
         stats = {"scatter": 0, "gather": 0, "rounds": 0, "pruned": 0, "entries": 0}
 
-        def needs(shard: int, mask: int) -> Tuple[bool, bool, int, int]:
-            key = (shard, mask)
-            got = need_memo.get(key)
-            if got is None:
-                relevant = False
-                unsummarized = False
-                out_bits = 0
-                in_bits = 0
-                for label, delta, inverse, bit in contexts[shard]:
-                    if step_mask(label, delta, mask):
-                        relevant = True
-                        if bit is None:
-                            unsummarized = True
-                        elif inverse:
-                            in_bits |= bit
-                        else:
-                            out_bits |= bit
-                got = (relevant, unsummarized, out_bits, in_bits)
-                need_memo[key] = got
-            return got
-
         def enqueue(token: str, name: str, mask: int) -> None:
             """Buffer one gained entry towards every shard that can
-            extend it (all owners when pruning is off)."""
+            extend it."""
             key = (token, name)
             for shard in owners:
-                if contexts is None:
-                    buffer = pending[shard]
-                    buffer[key] = buffer.get(key, 0) | mask
-                    continue
+                adjacencies = step_memo.get((shard, mask))
+                if adjacencies is None:
+                    adjacencies = [
+                        adjacency
+                        for label, delta, adjacency in contexts[shard]
+                        if step_mask(label, delta, mask)
+                    ]
+                    step_memo[(shard, mask)] = adjacencies
                 ship = False
-                relevant, unsummarized, out_bits, in_bits = needs(shard, mask)
-                if relevant:
-                    mapped = self._mapped[shard]
-                    nid = mapped.node_id(name)
+                if adjacencies:
+                    nid = self._mapped[shard].node_id(name)
                     if nid is not None:
-                        if unsummarized:
-                            ship = True
-                        elif (
-                            out_bits and mapped.out_label_mask(nid) & out_bits
-                        ) or (in_bits and mapped.in_label_mask(nid) & in_bits):
-                            ship = True
+                        for adjacency in adjacencies:
+                            if nid in adjacency:
+                                ship = True
+                                break
                 if ship:
                     buffer = pending[shard]
                     buffer[key] = buffer.get(key, 0) | mask

@@ -29,19 +29,12 @@ Image layout (format 2)
                    keys (sorted node ids with at least one edge),
                    indptr (len(keys)+1 prefix offsets), targets
                    (neighbour ids, sorted per key)
-                 * optional (format >= 2, <= 63 predicates):
-                   label_out / label_in — one int64 bitmask per node,
-                   bit ``pid`` set when the node has at least one
-                   outgoing (resp. incoming) edge with predicate ``pid``
 
-Format 2 adds the optional per-node label summary (the sharded tier's
-frontier-exchange coordinator prunes scatter payload with it: an entry
-ships to a shard only when the entry's pending NFA transitions can
-actually read one of the node's local labels).  Images with more than
-63 predicates omit the summary (a node bitmask must fit one int64), and
-format-1 images predate it — readers treat both as "no summary" and
-degrade to shard-level predicate pruning.  Format-1 images remain fully
-loadable.
+Format-1 images have the same layout and remain fully loadable.  Older
+format-2 writers also emitted ``label_out``/``label_in`` per-node
+bitmask sections; the reader ignores them.  "Node n has an edge under
+predicate p" is ``n in forward_adjacency(p)`` (or
+``backward_adjacency`` for incoming edges), a bisect on mapped keys.
 
 All arrays are little-endian int64.  The header carries the writing
 store's content fingerprint (the same order-independent digest
@@ -87,12 +80,9 @@ from ..graphs.rdf import TripleStore
 
 MAGIC = b"REPROIMG"
 FORMAT_VERSION = 2
-#: header formats this reader accepts (format 1 lacks the label-summary
-#: sections; everything else is identical)
+#: header formats this reader accepts (both share one layout; sections
+#: this reader does not know are ignored)
 SUPPORTED_FORMATS = (1, 2)
-#: per-node label bitmasks are one int64 each — predicate ids above 62
-#: have no bit, so images with more predicates omit the summary
-MAX_SUMMARY_PREDICATES = 63
 _PREFIX = struct.Struct("<8sQ")  # magic + header length
 _ITEM = struct.Struct("<q")
 
@@ -126,25 +116,13 @@ def _pack(values: List[int]) -> bytes:
     return bytes(out)
 
 
-def write_image(
-    store: TripleStore, path: PathLike, *, image_format: int = FORMAT_VERSION
-) -> str:
+def write_image(store: TripleStore, path: PathLike) -> str:
     """Freeze ``store`` into an image at ``path`` (atomic: written to a
     sibling temp file, fsynced, then renamed over).  Returns the
-    content fingerprint recorded in the header.
-
-    ``image_format`` pins the written header format (tests and
-    migration tooling write format-1 images to prove old images still
-    load); format 2 — the default — adds the per-node label-summary
-    sections when the store has few enough predicates to bitmask.
-    """
+    content fingerprint recorded in the header."""
     if isinstance(store, MappedTripleStore):
         raise StoreFrozenError(
             "store is already a mapped image; copy the file instead"
-        )
-    if image_format not in SUPPORTED_FORMATS:
-        raise StoreImageError(
-            f"cannot write unknown image format {image_format!r}"
         )
     path = Path(path)
     names = store.node_names()
@@ -163,11 +141,6 @@ def write_image(
         ("node_blob", node_blob),
         ("node_offsets", _pack(offsets)),
     ]
-    summarize = (
-        image_format >= 2 and len(predicates) <= MAX_SUMMARY_PREDICATES
-    )
-    out_masks = [0] * len(names) if summarize else None
-    in_masks = [0] * len(names) if summarize else None
     csr_table: List[List[str]] = []
     for pid in range(len(predicates)):
         entry: List[str] = []
@@ -176,11 +149,6 @@ def write_image(
             ("b", store.backward_adjacency(pid)),
         ):
             keys, indptr, targets = _csr_of(adjacency)
-            if summarize:
-                masks = out_masks if direction == "f" else in_masks
-                bit = 1 << pid
-                for key in keys:
-                    masks[key] |= bit
             for part, values in (
                 ("keys", keys),
                 ("indptr", indptr),
@@ -190,12 +158,9 @@ def write_image(
                 sections.append((section_name, _pack(values)))
                 entry.append(section_name)
         csr_table.append(entry)
-    if summarize:
-        sections.append(("label_out", _pack(out_masks)))
-        sections.append(("label_in", _pack(in_masks)))
 
     header: Dict[str, Any] = {
-        "format": image_format,
+        "format": FORMAT_VERSION,
         "byteorder": "little",
         "fingerprint": store.fingerprint(),
         "content_acc": f"{store._content_acc:x}",
@@ -203,10 +168,7 @@ def write_image(
         "nodes": len(names),
         "predicates": predicates,
         "csr": csr_table,
-        "label_summary": bool(summarize),
     }
-    if image_format < 2:
-        del header["label_summary"]
     # lay the sections out after the header, 8-byte aligned
     placed: Dict[str, Tuple[int, int]] = {}
     # two passes: the header's own length shifts the offsets, so fix the
@@ -446,34 +408,52 @@ class MappedTripleStore(TripleStore):
         if not isinstance(sections, dict):
             raise StoreImageError(f"{self._path}: header has no sections")
 
-        def int64(name: str):
+        def section(name: str) -> memoryview:
             try:
                 offset, length = sections[name]
             except (KeyError, TypeError, ValueError):
                 raise StoreImageError(
                     f"{self._path}: missing section {name!r}"
                 )
-            if offset + length > len(self._mv) or length % 8:
+            # the header is input: a negative offset would otherwise
+            # slice from the end of the file
+            if not (
+                type(offset) is int
+                and type(length) is int
+                and offset >= 0
+                and length >= 0
+                and offset + length <= len(self._mv)
+            ):
                 raise StoreImageError(
                     f"{self._path}: section {name!r} out of bounds"
                 )
-            return self._mv[offset : offset + length].cast("q")
+            return self._mv[offset : offset + length]
 
-        blob_offset, blob_length = sections.get("node_blob", (0, 0))
-        if blob_offset + blob_length > len(self._mv):
-            raise StoreImageError(f"{self._path}: string table truncated")
-        self._node_blob = self._mv[blob_offset : blob_offset + blob_length]
+        def int64(name: str) -> memoryview:
+            view = section(name)
+            if len(view) % 8:
+                raise StoreImageError(
+                    f"{self._path}: section {name!r} is not int64-sized"
+                )
+            return view.cast("q")
+
+        try:
+            self._num_nodes = int(header["nodes"])
+            self._size = int(header["triples"])
+            self._content_acc = int(header.get("content_acc", "0"), 16)
+            self._header_fingerprint = header["fingerprint"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise StoreImageError(
+                f"{self._path}: malformed header field {exc}"
+            )
+        self._version = 0
+        self._node_blob = section("node_blob")
         self._node_offsets = int64("node_offsets")
-        self._num_nodes = int(header["nodes"])
         if len(self._node_offsets) != self._num_nodes + 1:
             raise StoreImageError(
                 f"{self._path}: string table offsets disagree with the "
                 f"node count"
             )
-        self._size = int(header["triples"])
-        self._version = 0
-        self._content_acc = int(header.get("content_acc", "0"), 16)
-        self._header_fingerprint = header["fingerprint"]
         predicates = header.get("predicates")
         if not isinstance(predicates, list):
             raise StoreImageError(f"{self._path}: header has no predicates")
@@ -487,24 +467,14 @@ class MappedTripleStore(TripleStore):
         self._fwd = []
         self._bwd = []
         for entry in csr:
+            if not isinstance(entry, list) or len(entry) != 6:
+                raise StoreImageError(
+                    f"{self._path}: CSR entry {entry!r} does not name "
+                    f"six sections"
+                )
             fk, fi, ft, bk, bi, bt = entry
             self._fwd.append(_CSRAdjacency(int64(fk), int64(fi), int64(ft)))
             self._bwd.append(_CSRAdjacency(int64(bk), int64(bi), int64(bt)))
-        self._label_out = None
-        self._label_in = None
-        if header.get("label_summary") and "label_out" in sections:
-            label_out = int64("label_out")
-            label_in = int64("label_in")
-            if (
-                len(label_out) != self._num_nodes
-                or len(label_in) != self._num_nodes
-            ):
-                raise StoreImageError(
-                    f"{self._path}: label summary disagrees with the "
-                    f"node count"
-                )
-            self._label_out = label_out
-            self._label_in = label_in
         self._succ_cache = {}
         self._pred_cache = {}
         self._names: Opt[List[str]] = None
@@ -533,9 +503,6 @@ class MappedTripleStore(TripleStore):
         self._closed = True
         for adjacency in (*self._fwd, *self._bwd):
             adjacency._release()
-        if self._label_out is not None:
-            self._label_out.release()
-            self._label_in.release()
         self._node_offsets.release()
         self._node_blob.release()
         self._mv.release()
@@ -566,24 +533,6 @@ class MappedTripleStore(TripleStore):
         to the live store's at :func:`write_image` time, across every
         process that maps this image."""
         return self._header_fingerprint
-
-    # -- per-node label summary (format >= 2) -------------------------------------
-
-    @property
-    def has_label_summary(self) -> bool:
-        """Whether this image carries the per-node label bitmasks
-        (format >= 2, few enough predicates)."""
-        return self._label_out is not None
-
-    def out_label_mask(self, nid: int) -> int:
-        """Bitmask of predicate ids the node has outgoing edges under
-        (0 when the image has no summary — callers must check
-        :attr:`has_label_summary` before pruning on it)."""
-        return self._label_out[nid] if self._label_out is not None else 0
-
-    def in_label_mask(self, nid: int) -> int:
-        """Bitmask of predicate ids the node has incoming edges under."""
-        return self._label_in[nid] if self._label_in is not None else 0
 
     # -- engine-facing integer API ------------------------------------------------
 

@@ -34,8 +34,10 @@ from repro.service.shard import (
     ShardManifest,
     ShardRing,
     _task_die,
+    _task_frontier_step,
     shard_store,
 )
+from repro.store import attach
 
 
 def run(coro):
@@ -526,7 +528,7 @@ def test_battery_through_the_service_is_deployment_independent(tmp_path):
     run(scenario())
 
 
-# -- label-pruned, round-barrier exchange -------------------------------------
+# -- pruned, round-barrier exchange -------------------------------------------
 
 
 def skewed_store(shards: int = 3, hot: int = 120, cold: int = 12, seed: int = 3):
@@ -548,14 +550,21 @@ def skewed_store(shards: int = 3, hot: int = 120, cold: int = 12, seed: int = 3)
     return store, hot_pred, cold_preds
 
 
-def exchange_groups(path):
-    return {lp: ShardGroup(path, label_prune=lp) for lp in (False, True)}
-
-
-def test_pruned_and_unpruned_exchange_agree_and_pruning_cuts_payload(tmp_path):
+def test_every_shipped_entry_can_step_on_its_target_shard(tmp_path):
     store, hot, colds = skewed_store()
     shard_store(store, tmp_path / "g", shards=3)
-    groups = exchange_groups(tmp_path / "g")
+    group = ShardGroup(tmp_path / "g")
+    shipped = []
+    scatter = group.scatter
+
+    def recording_scatter(jobs):
+        for shard, fn, args in jobs:
+            if fn is _task_frontier_step:
+                _image, text, entries = args
+                shipped.extend((shard, text, entry) for entry in entries)
+        return scatter(jobs)
+
+    group.scatter = recording_scatter
     try:
         texts = [
             f"{hot}* ({colds[0]} | {colds[1]}) {hot}*",
@@ -564,24 +573,35 @@ def test_pruned_and_unpruned_exchange_agree_and_pruning_cuts_payload(tmp_path):
         ]
         for text in texts:
             expected = evaluate_rpq(store, parse_regex(text, multi_char=True))
-            for lp, group in groups.items():
-                assert group.evaluate_walk(text, None, None) == expected, (
-                    text,
-                    lp,
+            assert group.evaluate_walk(text, None, None) == expected, text
+        assert shipped and group.pruned_entries > 0
+        # (node, predicate) pairs with an out-/in-edge, from a full scan
+        # of each target image rather than the keys the coordinator
+        # bisects
+        out_labels, in_labels = [], []
+        for shard in range(3):
+            triples = list(attach(group.manifest.image_path(shard)).triples())
+            out_labels.append({(s, p) for s, p, _o in triples})
+            in_labels.append({(o, p) for _s, p, o in triples})
+        for shard, text, (_token, name, mask) in shipped:
+            plan = compile_rpq(parse_regex(text, multi_char=True))
+            steppable = [
+                label
+                for label in plan.atoms
+                if any(
+                    row
+                    for state, row in enumerate(plan.deltas[label])
+                    if mask >> state & 1
                 )
-        pruned = groups[True]
-        unpruned = groups[False]
-        # identical workload, byte-identical accounting scheme: pruning
-        # must strictly cut scatter payload on a skewed store and count
-        # what a broadcast would have shipped
-        assert pruned.scatter_bytes < unpruned.scatter_bytes
-        assert pruned.pruned_entries > 0
-        assert unpruned.pruned_entries == 0
-        assert pruned.rounds > 0 and unpruned.rounds > 0
-        assert pruned.gather_bytes > 0 and unpruned.gather_bytes > 0
+            ]
+            assert any(
+                (name, label[1:]) in in_labels[shard]
+                if label.startswith("^")
+                else (name, label) in out_labels[shard]
+                for label in steppable
+            ), (shard, text, name, mask)
     finally:
-        for group in groups.values():
-            group.close()
+        group.close()
 
 
 def test_exchange_answers_and_accounting_are_deterministic(tmp_path):
@@ -713,7 +733,7 @@ def test_concurrent_exists_agree_with_single_process_search(tmp_path):
 def test_exchange_pruning_survives_worker_death(tmp_path):
     store, hot, colds = skewed_store(seed=21)
     shard_store(store, tmp_path / "g", shards=3)
-    group = ShardGroup(tmp_path / "g", label_prune=True)
+    group = ShardGroup(tmp_path / "g")
     try:
         text = f"({hot} | {colds[0]})*"
         expected = evaluate_rpq(store, parse_regex(text, multi_char=True))
@@ -823,7 +843,6 @@ def test_exchange_counters_surface_through_stats_and_metrics(tmp_path):
             await service.rpq("g", text)
             stats = await service.stats()
             shard_stats = stats["shards"]["g"]
-            assert shard_stats["label_prune"] is True
             assert shard_stats["scatter_bytes"] > 0
             assert shard_stats["gather_bytes"] > 0
             assert shard_stats["rounds"] > 0

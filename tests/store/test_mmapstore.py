@@ -6,13 +6,16 @@ and a task shipped to a worker must carry the image *path*, never the
 triple data."""
 
 import io
+import json
 import os
 import pickle
 import pickletools
 import random
+import struct
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -155,8 +158,6 @@ class TestFingerprintIdentity:
             "print(store.fingerprint())\n"
         )
         triples_path = tmp_path / "triples.json"
-        import json
-
         triples_path.write_text(json.dumps(sorted(store.triples())))
         result = subprocess.run(
             [sys.executable, "-c", script, str(triples_path)],
@@ -185,6 +186,22 @@ class TestFrozen:
                 write_image(mapped, tmp_path / "copy.img")
 
 
+def mangle_header(path, tmp_path, edit):
+    """A copy of the image at ``path`` whose JSON header went through
+    ``edit`` (in place), padded back to its original length so every
+    section offset still points at the same bytes."""
+    data = path.read_bytes()
+    header_len = struct.unpack("<Q", data[8:16])[0]
+    header = json.loads(data[16 : 16 + header_len])
+    edit(header)
+    blob = json.dumps(header, ensure_ascii=False).encode("utf-8")
+    assert len(blob) <= header_len
+    bad = tmp_path / "mangled.img"
+    padded = blob.ljust(header_len, b" ")
+    bad.write_bytes(data[:16] + padded + data[16 + header_len :])
+    return bad
+
+
 class TestImageErrors:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.img"
@@ -208,21 +225,44 @@ class TestImageErrors:
 
     def test_unsupported_format_version(self, image, tmp_path):
         _, path = image
-        header = read_header(path)
-        assert header["format"] == FORMAT_VERSION
-        import json as _json
-        import struct
-
-        data = path.read_bytes()
-        header_len = struct.unpack("<Q", data[8:16])[0]
-        mangled = _json.loads(data[16 : 16 + header_len])
-        mangled["format"] = 999
-        blob = _json.dumps(mangled, ensure_ascii=False).encode("utf-8")
-        blob = blob.ljust(header_len, b" ")[:header_len]
-        bad = tmp_path / "future.img"
-        bad.write_bytes(data[:16] + blob + data[16 + header_len :])
+        assert read_header(path)["format"] == FORMAT_VERSION
+        bad = mangle_header(path, tmp_path, lambda h: h.update(format=9))
         with pytest.raises(StoreImageError):
             read_header(bad)
+
+    @pytest.mark.parametrize("section", ["node_blob", "ftargets_0"])
+    @pytest.mark.parametrize("bound", [(-16, None), (None, -8), (8.0, None)])
+    def test_negative_or_non_integer_section_bounds(
+        self, tmp_path, section, bound
+    ):
+        # names long enough that a two-character bound fits the header
+        a, b, c = "alpha", "beta", "gamma"
+        store = TripleStore([(a, "p", b), (b, "p", c), (c, "p", a)])
+        path = tmp_path / "three.img"
+        store.save(path)
+
+        def edit(header):
+            placed = header["sections"][section]
+            for index, value in enumerate(bound):
+                if value is not None:
+                    placed[index] = value
+
+        bad = mangle_header(path, tmp_path, edit)
+        with pytest.raises(StoreImageError):
+            MappedTripleStore.load(bad)
+
+    def test_csr_entry_with_too_few_sections(self, image, tmp_path):
+        _, path = image
+        bad = mangle_header(path, tmp_path, lambda h: h["csr"][0].pop())
+        with pytest.raises(StoreImageError):
+            MappedTripleStore.load(bad)
+
+    @pytest.mark.parametrize("field", ["nodes", "triples", "fingerprint"])
+    def test_missing_header_field(self, image, tmp_path, field):
+        _, path = image
+        bad = mangle_header(path, tmp_path, lambda h: h.pop(field))
+        with pytest.raises(StoreImageError):
+            MappedTripleStore.load(bad)
 
 
 def _worker_pairs(payload):
@@ -321,46 +361,42 @@ class TestSparqlOverMapped:
             assert live == frozen
 
 
-class TestLabelSummaries:
-    """Format-2 images carry optional per-node label bitmasks that the
-    sharded frontier exchange uses to prune scatter payloads."""
+#: written by the format-2 writer that still emitted the per-node
+#: ``label_out``/``label_in`` bitmask sections, from
+#: ``build_store(seed=5, nodes=12, triples=30)``
+LABEL_SUMMARY_IMAGE = Path(__file__).with_name("format2_label_summary.img")
 
-    def test_format_2_round_trips_label_masks(self, tmp_path):
-        store = build_store()
-        path = tmp_path / "v2.img"
-        write_image(store, path)
-        mapped = attach(path)
-        assert read_header(path)["format"] == FORMAT_VERSION
-        assert mapped.has_label_summary
-        pid = {name: mapped.predicate_id(name) for name in "abc"}
-        for name in sorted(store.nodes()):
-            nid = mapped.node_id(name)
-            out_mask = mapped.out_label_mask(nid)
-            in_mask = mapped.in_label_mask(nid)
-            for pred in "abc":
-                has_out = bool(store.successors(name, pred))
-                has_in = bool(store.predecessors(name, pred))
-                assert bool(out_mask & (1 << pid[pred])) == has_out
-                assert bool(in_mask & (1 << pid[pred])) == has_in
 
-    def test_format_1_images_still_load_without_summaries(self, tmp_path):
-        store = build_store()
-        path = tmp_path / "v1.img"
-        write_image(store, path, image_format=1)
-        assert read_header(path)["format"] == 1
-        mapped = attach(path)
-        assert not mapped.has_label_summary
-        assert mapped.out_label_mask(0) == 0
-        assert mapped.in_label_mask(0) == 0
-        # answers are unaffected: summaries are an optimization hint
-        assert set(mapped.triples()) == set(store.triples())
+class TestOlderImages:
+    """Images older writers produced keep attaching with the same
+    triples."""
 
-    def test_wide_predicate_vocabularies_omit_the_summary(self, tmp_path):
-        store = TripleStore()
-        for index in range(70):  # beyond the 63-bit mask capacity
-            store.add("s", f"p{index}", f"o{index}")
-        path = tmp_path / "wide.img"
-        write_image(store, path)
-        mapped = attach(path)
-        assert not mapped.has_label_summary
-        assert set(mapped.triples()) == set(store.triples())
+    def test_format_1_image_attaches(self, image, tmp_path):
+        store, path = image
+        data = path.read_bytes()
+        assert data.count(b'"format": 2') == 1
+        old = tmp_path / "v1.img"
+        old.write_bytes(data.replace(b'"format": 2', b'"format": 1'))
+        assert read_header(old)["format"] == 1
+        with MappedTripleStore.load(old) as mapped:
+            assert set(mapped.triples()) == set(store.triples())
+            assert mapped.fingerprint() == store.fingerprint()
+
+    def test_format_2_image_with_label_summary_sections_attaches(self):
+        store = build_store(seed=5, nodes=12, triples=30)
+        header = read_header(LABEL_SUMMARY_IMAGE)
+        assert header["format"] == 2
+        assert {"label_out", "label_in"} <= set(header["sections"])
+        with MappedTripleStore.load(LABEL_SUMMARY_IMAGE) as mapped:
+            assert set(mapped.triples()) == set(store.triples())
+            assert mapped.fingerprint() == store.fingerprint()
+            for expr in EXPRS:
+                plan = compile_rpq(expr)
+                assert plan.evaluate(mapped) == plan.evaluate(store)
+
+    def test_new_images_carry_no_label_summary(self, image):
+        _, path = image
+        header = read_header(path)
+        assert header["format"] == FORMAT_VERSION
+        assert not {"label_out", "label_in"} & set(header["sections"])
+        assert "label_summary" not in header
