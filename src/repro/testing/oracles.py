@@ -58,7 +58,7 @@ from ..trees.automata import (
 )
 from ..trees.dtd import DTD
 from ..trees.edtd import EDTD
-from ..trees.json_parser import parse_json
+from ..trees.json_parser import iter_json_events, parse_json
 from ..trees.streaming import validate_stream
 from ..trees.tree import Tree, TreeNode
 from .generators import (
@@ -128,7 +128,10 @@ def _typed_equal(a: Any, b: Any) -> bool:
 
 class JSONOracle(Oracle):
     name = "json"
-    description = "custom JSON scanner vs stdlib json (verdict + value)"
+    description = (
+        "custom JSON scanner vs stdlib json (verdict + value), and the "
+        "event stream vs the strict parser (verdict + error)"
+    )
 
     def generate(self, rng: random.Random) -> str:
         return random_json_text(rng)
@@ -136,8 +139,8 @@ class JSONOracle(Oracle):
     def check(self, case: str) -> Opt[str]:
         try:
             ours: Tuple[str, Any] = ("ok", parse_json(case))
-        except JSONParseError:
-            ours = ("err", None)
+        except JSONParseError as exc:
+            ours = ("err", (exc.category, exc.position))
         except RecursionError:
             return None  # recursion-depth parity is not a target
         except Exception as exc:
@@ -145,6 +148,19 @@ class JSONOracle(Oracle):
                 f"custom parser leaked {type(exc).__name__}: {exc} "
                 f"(JSONParseError expected)"
             )
+        try:
+            list(iter_json_events(case, chunk_size=7))
+            stream: Tuple[str, Any] = ("ok", None)
+        except JSONParseError as exc:
+            stream = ("err", (exc.category, exc.position))
+        except Exception as exc:
+            return (
+                f"event stream leaked {type(exc).__name__}: {exc} "
+                f"(JSONParseError expected)"
+            )
+        verdict = ours if ours[0] == "err" else ("ok", None)
+        if stream != verdict:
+            return f"stream/strict divergence: stream={stream} strict={verdict}"
         try:
             std: Tuple[str, Any] = (
                 "ok",

@@ -9,7 +9,9 @@ Public surface:
   :func:`validate_single_type`, :class:`PatternSchema`
 * Streaming: :class:`StreamingDTDValidator`, :func:`validate_stream`,
   :func:`events_of` (chunked XML/JSON sources), :func:`iter_xml_events`,
-  :func:`iter_json_events`
+  :func:`iter_json_events`.  Each format has one lexer over a chunked
+  feeder: the parsers above fold its tokens and the event streams
+  project them, so both report a lexical error alike.
 * Tree automata: :class:`TreeAutomaton` (antichain inclusion,
   simulation reduction), :class:`StreamingTreeValidator`,
   :func:`validate_events`, :func:`schema_contains`

@@ -1,18 +1,21 @@
-"""Pull-based chunked character feeding for the incremental parsers.
+"""Pull-based chunked character feeding for the tree-format lexers.
 
 :class:`ChunkFeeder` turns any text source — a ``str``, ``bytes``, or a
 file-like object whose ``read(n)`` returns either — into a buffered
 character stream with *bounded* memory: the internal buffer holds at
 most the unconsumed tail of one token plus one read chunk, and the
 consumed prefix is compacted away as the caller advances.  Byte inputs
-are decoded incrementally (UTF-8 by default), so multi-byte characters
-split across chunk boundaries are handled transparently.
+are decoded incrementally as UTF-8 (a leading byte-order mark is
+dropped), so multi-byte characters split across chunk boundaries are
+handled transparently.  A ``str`` source is the whole buffer from the
+start: nothing is copied.
 
-Both :func:`repro.trees.xml_parser.iter_xml_events` and
-:func:`repro.trees.json_parser.iter_json_events` scan through this
-class, which is what lets them emit SAX-style event streams from
-multi-gigabyte documents without ever materializing the text, let alone
-a :class:`~repro.trees.tree.Tree`.
+The XML tokenizer of :mod:`repro.trees.xml_parser` and the JSON scanner
+of :mod:`repro.trees.json_parser` are the only readers of this class.
+They scan ``buf`` with slices, ``find`` and compiled patterns, and call
+:meth:`ChunkFeeder.refill` when a token runs past the buffered text.
+Both the tree parsers and the event streams drive those lexers, so one
+document is lexed the same way whichever entry point reads it.
 """
 
 from __future__ import annotations
@@ -28,20 +31,26 @@ DEFAULT_CHUNK_SIZE = 65536
 class ChunkFeeder:
     """Buffered incremental reader over ``str`` / ``bytes`` / file-like.
 
+    Readers scan ``buf`` from ``pos``; ``base`` is the absolute
+    character offset of ``buf[0]`` in the whole input, and ``eof`` says
+    that ``buf`` already ends where the input ends.
+
     ``error_factory`` builds the exception raised on a byte-decoding
     failure, so each parser surfaces its own typed error (XML's
     ``bad-encoding`` category, for instance) instead of a raw
-    :class:`UnicodeDecodeError`.
+    :class:`UnicodeDecodeError`.  Its position is the character offset
+    of the first undecodable byte, whatever the chunk size.
     """
 
     def __init__(
         self,
         source,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
-        encoding: str = "utf-8",
+        encoding: str = "utf-8-sig",
         error_factory: Optional[Callable[[str, int], Exception]] = None,
     ):
         self.chunk_size = max(1, int(chunk_size))
+        self.encoding = encoding
         self.error_factory = error_factory
         self.buf = ""
         self.pos = 0
@@ -54,7 +63,6 @@ class ChunkFeeder:
             self._pull = None
         elif isinstance(source, (bytes, bytearray, memoryview)):
             data = bytes(source)
-            self._decoder = codecs.getincrementaldecoder(encoding)()
             offset = 0
 
             def pull_bytes() -> Optional[bytes]:
@@ -67,7 +75,6 @@ class ChunkFeeder:
 
             self._pull = pull_bytes
         elif hasattr(source, "read"):
-            self._decoder = codecs.getincrementaldecoder(encoding)()
 
             def pull_read():
                 chunk = source.read(self.chunk_size)
@@ -85,13 +92,27 @@ class ChunkFeeder:
         """Absolute character offset of the read head (for errors)."""
         return self.base + self.pos
 
-    def _decode_error(self, exc: UnicodeDecodeError) -> Exception:
-        if self.error_factory is not None:
-            return self.error_factory(str(exc), self.base + len(self.buf))
-        return exc
+    def _decode(self, chunk: bytes, final: bool = False) -> str:
+        if self._decoder is None:
+            self._decoder = codecs.getincrementaldecoder(self.encoding)()
+        try:
+            return self._decoder.decode(chunk, final)
+        except UnicodeDecodeError as exc:
+            if self.error_factory is None:
+                raise
+            # exc.object starts at a character boundary (any carried-over
+            # partial sequence included), so its prefix decodes cleanly
+            decoded = len(exc.object[: exc.start].decode("utf-8"))
+            raise self.error_factory(
+                str(exc), self.base + len(self.buf) + decoded
+            ) from None
 
     def refill(self) -> bool:
-        """Pull one more chunk into the buffer; False once at EOF."""
+        """Pull one more chunk into the buffer; False once at EOF.
+
+        Indices into ``buf`` do not survive a refill: the consumed
+        prefix (everything before ``pos``) may be compacted away.
+        """
         if self.eof:
             return False
         # Compact the consumed prefix so memory stays bounded by the
@@ -100,60 +121,13 @@ class ChunkFeeder:
             self.base += self.pos
             self.buf = self.buf[self.pos :]
             self.pos = 0
-        chunk = self._pull() if self._pull is not None else None
+        chunk = self._pull()
         if chunk is None:
             self.eof = True
             if self._decoder is not None:
-                try:
-                    tail = self._decoder.decode(b"", final=True)
-                except UnicodeDecodeError as exc:
-                    raise self._decode_error(exc) from None
+                tail = self._decode(b"", final=True)
                 self.buf += tail
                 return bool(tail)
             return False
-        if isinstance(chunk, str):
-            self.buf += chunk
-        else:
-            if self._decoder is None:
-                self._decoder = codecs.getincrementaldecoder("utf-8")()
-            try:
-                self.buf += self._decoder.decode(chunk)
-            except UnicodeDecodeError as exc:
-                raise self._decode_error(exc) from None
+        self.buf += chunk if isinstance(chunk, str) else self._decode(chunk)
         return True
-
-    def ensure(self, n: int) -> bool:
-        """Make at least ``n`` unread characters available if possible."""
-        while len(self.buf) - self.pos < n:
-            if not self.refill():
-                return False
-        return True
-
-    def peek(self, offset: int = 0) -> Optional[str]:
-        if not self.ensure(offset + 1):
-            return None
-        return self.buf[self.pos + offset]
-
-    def advance(self, n: int = 1) -> None:
-        self.pos += n
-
-    def startswith(self, prefix: str) -> bool:
-        if not self.ensure(len(prefix)):
-            return False
-        return self.buf.startswith(prefix, self.pos)
-
-    def take_until(self, needle: str) -> Optional[str]:
-        """Consume and return everything up to ``needle`` (which is also
-        consumed but not returned); None when the input ends first."""
-        search_from = self.pos
-        while True:
-            idx = self.buf.find(needle, search_from)
-            if idx != -1:
-                out = self.buf[self.pos : idx]
-                self.pos = idx + len(needle)
-                return out
-            # keep a needle-sized overlap so a match split across chunks
-            # is still found
-            search_from = max(self.pos, len(self.buf) - len(needle) + 1)
-            if not self.refill():
-                return None

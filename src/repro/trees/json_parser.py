@@ -13,14 +13,20 @@ the common one:
 
 The parser is hand-written so that malformed documents yield classified
 :class:`~repro.errors.JSONParseError`\\ s, mirroring the XML study's
-error-taxonomy approach.
+error-taxonomy approach.  One scanner and one grammar walk,
+:func:`_tokens`, read a :class:`~repro.trees.chunked.ChunkFeeder`:
+:func:`parse_json` folds the walk's tokens into Python values and
+:func:`iter_json_events` relabels them as ``start``/``end`` events, so
+both reject a document with the same category at the same position.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+import re
+from typing import Any, Iterator, List, Tuple
 
 from ..errors import JSONParseError
+from .chunked import ChunkFeeder
 from .tree import Tree, TreeNode
 
 # JSON error categories (for corpus studies in the XML-study style)
@@ -32,9 +38,6 @@ UNEXPECTED_END = "unexpected-end"
 BAD_ESCAPE = "bad-escape"
 CONTROL_CHAR = "control-character"
 
-_WHITESPACE = " \t\n\r"
-_DIGITS = "0123456789"
-_HEX_DIGITS = "0123456789abcdefABCDEF"
 _ESCAPES = {
     '"': '"',
     "\\": "\\",
@@ -45,208 +48,246 @@ _ESCAPES = {
     "r": "\r",
     "t": "\t",
 }
+_WHITESPACE = re.compile(r"[ \t\n\r]*")
+_PLAIN = re.compile(r'[^"\\\x00-\x1f]*')  # string characters kept as-is
+_HEX4 = re.compile(r"[0-9a-fA-F]{4}")
+# RFC 8259 numbers, with the fraction and exponent digits optional so a
+# missing digit is reported where it is missing
+_NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(\.[0-9]*)?([eE][+-]?[0-9]*)?")
+_LITERALS = (("true", True), ("false", False), ("null", None))
+
+# What the grammar walk expects next.
+_VALUE, _FIRST_ITEM, _KEY, _FIRST_KEY, _COLON, _AFTER = range(6)
+
+_OPEN_OBJECT = ("{", None)
+_OPEN_ARRAY = ("[", None)
+_CLOSE = ("end", None)
 
 
-class _JSONScanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.n = len(text)
+class _More(Exception):
+    """The token runs past the buffered text: refill and scan it again."""
 
-    def error(self, message: str, category: str) -> JSONParseError:
-        return JSONParseError(message, position=self.pos, category=category)
 
-    def skip_whitespace(self) -> None:
-        while self.pos < self.n and self.text[self.pos] in _WHITESPACE:
-            self.pos += 1
+def _error(message: str, category: str, position: int) -> JSONParseError:
+    return JSONParseError(message, position=position, category=category)
 
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < self.n else ""
 
-    def expect(self, ch: str) -> None:
-        if self.peek() != ch:
-            raise self.error(
-                f"expected {ch!r}, found {self.peek()!r}",
-                MISSING_DELIMITER if self.peek() else UNEXPECTED_END,
-            )
-        self.pos += 1
+def _expected(want: str, found: str, position: int) -> JSONParseError:
+    return _error(
+        f"expected {want!r}, found {found!r}",
+        MISSING_DELIMITER if found else UNEXPECTED_END,
+        position,
+    )
 
-    # -- value parsing ---------------------------------------------------------
 
-    def parse_value(self) -> Any:
-        self.skip_whitespace()
-        ch = self.peek()
-        if ch == "":
-            raise self.error("unexpected end of input", UNEXPECTED_END)
-        if ch == "{":
-            return self.parse_object()
-        if ch == "[":
-            return self.parse_array()
+def _u_escape(buf: str, i: int, eof: bool, base: int) -> Tuple[int, int]:
+    """One ``\\uXXXX`` code unit whose hex digits start at ``buf[i]``."""
+    if i + 4 > len(buf) and not eof:
+        raise _More
+    if _HEX4.match(buf, i) is None:
+        raise _error("bad \\u escape", BAD_ESCAPE, base + i)
+    return int(buf[i : i + 4], 16), i + 4
+
+
+def _string(buf: str, i: int, eof: bool, base: int) -> Tuple[str, int]:
+    """Decode the string whose opening quote precedes ``buf[i]``.
+    Returns (value, index past the closing quote)."""
+    n = len(buf)
+    j = _PLAIN.match(buf, i).end()
+    if j < n and buf[j] == '"':
+        return buf[i:j], j + 1
+    parts = [buf[i:j]]
+    while True:
+        if j >= n:
+            if not eof:
+                raise _More
+            raise _error("unterminated string", UNTERMINATED_STRING, base + j)
+        ch = buf[j]
         if ch == '"':
-            return self.parse_string()
-        if ch in "-0123456789":
-            return self.parse_number()
-        for literal, value in (
-            ("true", True),
-            ("false", False),
-            ("null", None),
-        ):
-            if self.text.startswith(literal, self.pos):
-                self.pos += len(literal)
-                return value
-        raise self.error(f"unexpected character {ch!r}", BAD_LITERAL)
+            return "".join(parts), j + 1
+        if ch != "\\":
+            raise _error(
+                f"unescaped control character {ch!r} in string",
+                CONTROL_CHAR,
+                base + j,
+            )
+        if j + 1 >= n:
+            if not eof:
+                raise _More
+            raise _error(
+                "unterminated escape", UNTERMINATED_STRING, base + j + 1
+            )
+        esc = buf[j + 1]
+        j += 2
+        if esc == "u":
+            unit, j = _u_escape(buf, j, eof, base)
+            # An escaped high surrogate followed by an escaped low
+            # surrogate encodes one astral code point (backslash-u D834
+            # then DD1E decodes to U+1D11E); unpaired surrogates are kept
+            # as-is, matching the stdlib decoder.
+            if 0xD800 <= unit <= 0xDBFF:
+                if j + 2 > n and not eof:
+                    raise _More
+                if buf.startswith("\\u", j):
+                    low, after = _u_escape(buf, j + 2, eof, base)
+                    if 0xDC00 <= low <= 0xDFFF:
+                        unit = 0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00)
+                        j = after
+            parts.append(chr(unit))
+        elif esc in _ESCAPES:
+            parts.append(_ESCAPES[esc])
+        else:
+            raise _error(f"bad escape \\{esc}", BAD_ESCAPE, base + j)
+        end = _PLAIN.match(buf, j).end()
+        parts.append(buf[j:end])
+        j = end
 
-    def parse_object(self) -> Dict[str, Any]:
-        self.expect("{")
-        out: Dict[str, Any] = {}
-        self.skip_whitespace()
-        if self.peek() == "}":
-            self.pos += 1
-            return out
-        while True:
-            self.skip_whitespace()
-            if self.peek() != '"':
-                raise self.error(
-                    "object keys must be strings",
-                    BAD_LITERAL if self.peek() else UNEXPECTED_END,
-                )
-            key = self.parse_string()
-            self.skip_whitespace()
-            self.expect(":")
-            out[key] = self.parse_value()
-            self.skip_whitespace()
-            if self.peek() == ",":
-                self.pos += 1
+
+def _number(buf: str, p: int, eof: bool, base: int) -> Tuple[Any, int]:
+    """Scan a number with the exact RFC 8259 grammar.
+
+    ``int`` is ``0`` or a non-zero digit followed by digits (so ``01``
+    stops after the ``0`` and the ``1`` becomes trailing input, as in
+    the stdlib tokenizer); ``frac``/``exp`` require at least one digit.
+    """
+    n = len(buf)
+    match = _NUMBER.match(buf, p)
+    if match is None:  # a minus sign without digits
+        if p + 1 >= n and not eof:
+            raise _More
+        raise _error("malformed number", BAD_LITERAL, base + p + 1)
+    if match.end() >= n and not eof:
+        raise _More
+    frac, exp = match.group(1, 2)
+    if frac == ".":
+        raise _error(
+            "expected digits after decimal point", BAD_LITERAL, base + match.end(1)
+        )
+    if exp is not None and exp[-1] not in "0123456789":
+        raise _error("expected digits in exponent", BAD_LITERAL, base + match.end(2))
+    raw = match.group()
+    return (float(raw) if frac or exp else int(raw)), match.end()
+
+
+def _literal(buf: str, p: int, eof: bool, base: int) -> Tuple[Any, int]:
+    if len(buf) - p < 5 and not eof:
+        raise _More
+    for word, value in _LITERALS:
+        if buf.startswith(word, p):
+            return value, p + len(word)
+    raise _error(f"unexpected character {buf[p]!r}", BAD_LITERAL, base + p)
+
+
+def _tokens(feeder: ChunkFeeder) -> Iterator[Tuple[str, Any]]:
+    """The grammar walk over ``feeder``'s input, as tokens in document
+    order: ``("{", None)`` and ``("[", None)`` open a container,
+    ``("end", None)`` closes the innermost one, ``("key", name)``
+    precedes each member value, and ``("value", scalar)`` is a string,
+    number, ``true``, ``false`` or ``null``.
+
+    Malformed input raises :class:`~repro.errors.JSONParseError` once the
+    tokens before the error have been yielded.
+    """
+    buf, p, base, eof = feeder.buf, feeder.pos, feeder.base, feeder.eof
+    closers: List[str] = []  # the bracket each open container awaits
+    state = _VALUE
+    while True:
+        try:
+            n = len(buf)
+            p = _WHITESPACE.match(buf, p).end()
+            if p >= n and not eof:
+                raise _More
+            ch = buf[p] if p < n else ""
+            if state == _AFTER:
+                if not closers:
+                    if ch:
+                        raise _error(
+                            "trailing data after document", TRAILING_DATA, base + p
+                        )
+                    return
+                if ch == ",":
+                    p += 1
+                    state = _KEY if closers[-1] == "}" else _VALUE
+                    continue
+                if ch != closers[-1]:
+                    raise _expected(closers[-1], ch, base + p)
+                p += 1
+                closers.pop()
+                token = _CLOSE
+            elif state == _COLON:
+                if ch != ":":
+                    raise _expected(":", ch, base + p)
+                p += 1
+                state = _VALUE
                 continue
-            self.expect("}")
-            return out
-
-    def parse_array(self) -> List[Any]:
-        self.expect("[")
-        out: List[Any] = []
-        self.skip_whitespace()
-        if self.peek() == "]":
-            self.pos += 1
-            return out
-        while True:
-            out.append(self.parse_value())
-            self.skip_whitespace()
-            if self.peek() == ",":
-                self.pos += 1
-                continue
-            self.expect("]")
-            return out
-
-    def _parse_u_escape(self) -> int:
-        """One ``\\uXXXX`` code unit (the backslash and 'u' are consumed)."""
-        hexpart = self.text[self.pos : self.pos + 4]
-        if len(hexpart) < 4 or any(c not in _HEX_DIGITS for c in hexpart):
-            raise self.error("bad \\u escape", BAD_ESCAPE)
-        self.pos += 4
-        return int(hexpart, 16)
-
-    def parse_string(self) -> str:
-        self.expect('"')
-        out: List[str] = []
-        while True:
-            if self.pos >= self.n:
-                raise self.error("unterminated string", UNTERMINATED_STRING)
-            ch = self.text[self.pos]
-            self.pos += 1
-            if ch == '"':
-                return "".join(out)
-            if ch == "\\":
-                if self.pos >= self.n:
-                    raise self.error(
-                        "unterminated escape", UNTERMINATED_STRING
+            elif (ch == "}" and state == _FIRST_KEY) or (
+                ch == "]" and state == _FIRST_ITEM
+            ):
+                p += 1
+                closers.pop()
+                token = _CLOSE
+                state = _AFTER
+            elif state == _KEY or state == _FIRST_KEY:
+                if ch != '"':
+                    raise _error(
+                        "object keys must be strings",
+                        BAD_LITERAL if ch else UNEXPECTED_END,
+                        base + p,
                     )
-                esc = self.text[self.pos]
-                self.pos += 1
-                if esc == "u":
-                    unit = self._parse_u_escape()
-                    # An escaped high surrogate followed by an escaped
-                    # low surrogate encodes one astral code point
-                    # (backslash-u D834 then DD1E decodes to U+1D11E);
-                    # unpaired surrogates are kept as-is, matching the
-                    # stdlib decoder.
-                    if (
-                        0xD800 <= unit <= 0xDBFF
-                        and self.text.startswith("\\u", self.pos)
-                    ):
-                        mark = self.pos
-                        self.pos += 2
-                        low = self._parse_u_escape()
-                        if 0xDC00 <= low <= 0xDFFF:
-                            unit = (
-                                0x10000
-                                + ((unit - 0xD800) << 10)
-                                + (low - 0xDC00)
-                            )
-                        else:
-                            self.pos = mark  # not a pair; reread normally
-                    out.append(chr(unit))
-                elif esc in _ESCAPES:
-                    out.append(_ESCAPES[esc])
-                else:
-                    raise self.error(f"bad escape \\{esc}", BAD_ESCAPE)
-            elif ch < "\x20":
-                self.pos -= 1
-                raise self.error(
-                    f"unescaped control character {ch!r} in string",
-                    CONTROL_CHAR,
-                )
+                key, p = _string(buf, p + 1, eof, base)
+                token = ("key", key)
+                state = _COLON
+            elif ch == "{":
+                p += 1
+                closers.append("}")
+                token = _OPEN_OBJECT
+                state = _FIRST_KEY
+            elif ch == "[":
+                p += 1
+                closers.append("]")
+                token = _OPEN_ARRAY
+                state = _FIRST_ITEM
             else:
-                out.append(ch)
-
-    def _scan_digits(self) -> int:
-        count = 0
-        while self.pos < self.n and self.text[self.pos] in _DIGITS:
-            self.pos += 1
-            count += 1
-        return count
-
-    def parse_number(self):
-        """Scan a number with the exact RFC 8259 grammar.
-
-        ``int`` is ``0`` or a non-zero digit followed by digits (so ``01``
-        stops after the ``0`` and the ``1`` becomes trailing input, as in
-        the stdlib tokenizer); ``frac``/``exp`` require at least one digit.
-        """
-        start = self.pos
-        if self.peek() == "-":
-            self.pos += 1
-        if self.peek() == "0":
-            self.pos += 1
-        elif self._scan_digits() == 0:
-            raise self.error("malformed number", BAD_LITERAL)
-        is_float = False
-        if self.peek() == ".":
-            is_float = True
-            self.pos += 1
-            if self._scan_digits() == 0:
-                raise self.error(
-                    "expected digits after decimal point", BAD_LITERAL
-                )
-        if self.peek() in ("e", "E"):
-            is_float = True
-            self.pos += 1
-            if self.peek() in ("+", "-"):
-                self.pos += 1
-            if self._scan_digits() == 0:
-                raise self.error(
-                    "expected digits in exponent", BAD_LITERAL
-                )
-        raw = self.text[start : self.pos]
-        return float(raw) if is_float else int(raw)
+                if ch == '"':
+                    value, p = _string(buf, p + 1, eof, base)
+                elif not ch:
+                    raise _error("unexpected end of input", UNEXPECTED_END, base + p)
+                elif ch in "-0123456789":
+                    value, p = _number(buf, p, eof, base)
+                else:
+                    value, p = _literal(buf, p, eof, base)
+                token = ("value", value)
+                state = _AFTER
+        except _More:
+            feeder.pos = p
+            feeder.refill()
+            buf, p, base, eof = feeder.buf, feeder.pos, feeder.base, feeder.eof
+            continue
+        yield token
 
 
 def parse_json(text: str) -> Any:
     """Parse a JSON document into Python values (dict/list/scalars)."""
-    scanner = _JSONScanner(text)
-    value = scanner.parse_value()
-    scanner.skip_whitespace()
-    if scanner.pos != scanner.n:
-        raise scanner.error("trailing data after document", TRAILING_DATA)
+    containers: List[Any] = []
+    keys: List[str] = []
+    value: Any = None
+    for kind, payload in _tokens(ChunkFeeder(text)):
+        if kind == "key":
+            keys.append(payload)
+            continue
+        if kind == "{":
+            containers.append({})
+            continue
+        if kind == "[":
+            containers.append([])
+            continue
+        value = containers.pop() if kind == "end" else payload
+        if containers:
+            parent = containers[-1]
+            if type(parent) is list:
+                parent.append(value)
+            else:
+                parent[keys.pop()] = value
     return value
 
 
@@ -295,187 +336,14 @@ def json_nesting_depth(value: Any) -> int:
     return 1
 
 
+
 # ----------------------------------------------------------------------
 # Incremental event streaming (chunked, no value / Tree construction)
 # ----------------------------------------------------------------------
 
-_WHITESPACE = " \t\n\r"
-_HEX_DIGITS = set("0123456789abcdefABCDEF")
-
 
 def _json_decode_error(message: str, position: int) -> JSONParseError:
     return JSONParseError(message, position=position, category=BAD_LITERAL)
-
-
-class _ChunkedJSONScanner:
-    """Charwise scanner over a :class:`~repro.trees.chunked.ChunkFeeder`
-    that validates tokens as it discards them."""
-
-    def __init__(self, source, chunk_size: int):
-        from .chunked import ChunkFeeder
-
-        self.feeder = ChunkFeeder(
-            source, chunk_size, error_factory=_json_decode_error
-        )
-
-    def error(self, message: str, category: str) -> JSONParseError:
-        return JSONParseError(
-            message, position=self.feeder.position, category=category
-        )
-
-    def peek(self):
-        return self.feeder.peek()
-
-    def advance(self):
-        self.feeder.advance()
-
-    def skip_whitespace(self) -> None:
-        while True:
-            ch = self.feeder.peek()
-            if ch is None or ch not in _WHITESPACE:
-                return
-            self.feeder.advance()
-
-    def expect(self, expected: str, category: str) -> None:
-        ch = self.feeder.peek()
-        if ch != expected:
-            if ch is None:
-                raise self.error("unexpected end of input", UNEXPECTED_END)
-            raise self.error(
-                f"expected {expected!r}, found {ch!r}", category
-            )
-        self.feeder.advance()
-
-    def read_string(self) -> str:
-        """Consume a quoted string (opening quote included) and return
-        its decoded value; mirrors the strict parser's escape rules."""
-        self.expect('"', MISSING_DELIMITER)
-        out = []
-        while True:
-            ch = self.feeder.peek()
-            if ch is None:
-                raise self.error("unterminated string", UNTERMINATED_STRING)
-            self.feeder.advance()
-            if ch == '"':
-                return "".join(out)
-            if ch == "\\":
-                esc = self.feeder.peek()
-                if esc is None:
-                    raise self.error(
-                        "unterminated escape", UNTERMINATED_STRING
-                    )
-                self.feeder.advance()
-                if esc == "u":
-                    out.append(self._read_unicode_escape())
-                elif esc in '"\\/':
-                    out.append(esc)
-                elif esc == "b":
-                    out.append("\b")
-                elif esc == "f":
-                    out.append("\f")
-                elif esc == "n":
-                    out.append("\n")
-                elif esc == "r":
-                    out.append("\r")
-                elif esc == "t":
-                    out.append("\t")
-                else:
-                    raise self.error(f"bad escape \\{esc}", BAD_ESCAPE)
-            elif ord(ch) < 0x20:
-                raise self.error(
-                    f"raw control character {ch!r} in string",
-                    CONTROL_CHAR,
-                )
-            else:
-                out.append(ch)
-
-    def _read_hex4(self) -> int:
-        digits = []
-        for _ in range(4):
-            ch = self.feeder.peek()
-            if ch is None or ch not in _HEX_DIGITS:
-                raise self.error("bad \\u escape", BAD_ESCAPE)
-            digits.append(ch)
-            self.feeder.advance()
-        return int("".join(digits), 16)
-
-    def _read_unicode_escape(self) -> str:
-        # Mirrors the strict parser: escaped surrogate pairs combine
-        # into one astral code point, unpaired surrogates are kept, and
-        # a high surrogate followed by a non-low escape re-enters the
-        # loop (the second unit may itself start a pair).
-        out = []
-        unit = self._read_hex4()
-        while True:
-            paired = (
-                0xD800 <= unit <= 0xDBFF
-                and self.feeder.peek() == "\\"
-                and self.feeder.peek(1) == "u"
-            )
-            if not paired:
-                out.append(chr(unit))
-                return "".join(out)
-            self.feeder.advance()
-            self.feeder.advance()
-            low = self._read_hex4()
-            if 0xDC00 <= low <= 0xDFFF:
-                code = 0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00)
-                out.append(chr(code))
-                return "".join(out)
-            out.append(chr(unit))
-            unit = low
-
-    def skip_scalar(self) -> None:
-        """Consume one literal or number, validating its shape."""
-        ch = self.feeder.peek()
-        if ch == '"':
-            self.read_string()
-            return
-        if ch is None:
-            raise self.error("unexpected end of input", UNEXPECTED_END)
-        if ch.isalpha():
-            word = []
-            while True:
-                ch = self.feeder.peek()
-                if ch is None or not ch.isalpha():
-                    break
-                word.append(ch)
-                self.feeder.advance()
-            if "".join(word) not in ("true", "false", "null"):
-                raise self.error(
-                    f"bad literal {''.join(word)!r}", BAD_LITERAL
-                )
-            return
-        self._skip_number()
-
-    def _skip_number(self) -> None:
-        ch = self.feeder.peek()
-        if ch == "-":
-            self.feeder.advance()
-            ch = self.feeder.peek()
-        if ch is None or not ch.isdigit():
-            raise self.error("malformed number", BAD_LITERAL)
-        if ch == "0":
-            self.feeder.advance()
-        else:
-            while (c := self.feeder.peek()) is not None and c.isdigit():
-                self.feeder.advance()
-        if self.feeder.peek() == ".":
-            self.feeder.advance()
-            if (c := self.feeder.peek()) is None or not c.isdigit():
-                raise self.error(
-                    "expected digits after decimal point", BAD_LITERAL
-                )
-            while (c := self.feeder.peek()) is not None and c.isdigit():
-                self.feeder.advance()
-        if self.feeder.peek() in ("e", "E"):
-            self.feeder.advance()
-            if self.feeder.peek() in ("+", "-"):
-                self.feeder.advance()
-            if (c := self.feeder.peek()) is None or not c.isdigit():
-                raise self.error("expected digits in exponent", BAD_LITERAL)
-            while (c := self.feeder.peek()) is not None and c.isdigit():
-                self.feeder.advance()
 
 
 def iter_json_events(
@@ -490,87 +358,28 @@ def iter_json_events(
     root is ``root_label``, object members are labelled by their key,
     array elements by ``item_label``, and scalars are leaves.
 
-    The document is tokenized in ``chunk_size`` pieces and never parsed
-    into a value, so memory is bounded by nesting depth plus one chunk.
-    Malformed input raises :class:`~repro.errors.JSONParseError` with
-    the strict parser's category taxonomy.  (One deliberate divergence
-    from ``events_of(parse_json_tree(text))``: duplicate object keys
-    each yield their own events here, while ``dict`` semantics keep only
-    the last.)
+    The document is read in ``chunk_size`` pieces and never parsed into
+    a value, so memory is bounded by nesting depth plus one chunk.  The
+    events come from the grammar walk :func:`parse_json` folds, so
+    malformed input raises :class:`~repro.errors.JSONParseError` with
+    the category and position :func:`parse_json` reports.  (One
+    deliberate divergence from ``events_of(parse_json_tree(text))``:
+    duplicate object keys each yield their own events here, while
+    ``dict`` semantics keep only the last.)
     """
-    scanner = _ChunkedJSONScanner(source, chunk_size)
-    scanner.skip_whitespace()
-    # Stack of ("obj" | "arr", label-of-container).
-    stack: List[Tuple[str, str]] = []
+    feeder = ChunkFeeder(source, chunk_size, error_factory=_json_decode_error)
+    labels: List[str] = []  # the label of each open container
     label = root_label
-    while True:
-        # Parse one value labelled `label`.
-        ch = scanner.peek()
-        if ch is None:
-            raise scanner.error("unexpected end of input", UNEXPECTED_END)
-        closed = False
-        if ch == "{":
-            scanner.advance()
-            yield ("start", label)
-            scanner.skip_whitespace()
-            if scanner.peek() == "}":
-                scanner.advance()
-                yield ("end", label)
-                closed = True
-            else:
-                stack.append(("obj", label))
-                label = scanner.read_string()
-                scanner.skip_whitespace()
-                scanner.expect(":", MISSING_DELIMITER)
-                scanner.skip_whitespace()
-        elif ch == "[":
-            scanner.advance()
-            yield ("start", label)
-            scanner.skip_whitespace()
-            if scanner.peek() == "]":
-                scanner.advance()
-                yield ("end", label)
-                closed = True
-            else:
-                stack.append(("arr", label))
-                label = item_label
-        else:
-            scanner.skip_scalar()
+    for kind, payload in _tokens(feeder):
+        if kind == "key":
+            label = payload
+        elif kind == "value":
             yield ("start", label)
             yield ("end", label)
-            closed = True
-        # Unwind finished containers / advance to the next sibling.
-        while closed and stack:
-            kind, container_label = stack[-1]
-            scanner.skip_whitespace()
-            ch = scanner.peek()
-            if ch == ",":
-                scanner.advance()
-                scanner.skip_whitespace()
-                if kind == "obj":
-                    label = scanner.read_string()
-                    scanner.skip_whitespace()
-                    scanner.expect(":", MISSING_DELIMITER)
-                    scanner.skip_whitespace()
-                else:
-                    label = item_label
-                closed = False
-            elif (kind == "obj" and ch == "}") or (kind == "arr" and ch == "]"):
-                scanner.advance()
-                stack.pop()
-                yield ("end", container_label)
-            elif ch is None:
-                raise scanner.error("unexpected end of input", UNEXPECTED_END)
-            else:
-                raise scanner.error(
-                    f"expected {',' if kind == 'arr' else ', or closing brace'}"
-                    f", found {ch!r}",
-                    MISSING_DELIMITER,
-                )
-        if closed and not stack:
-            scanner.skip_whitespace()
-            if scanner.peek() is not None:
-                raise scanner.error(
-                    "trailing data after document", TRAILING_DATA
-                )
-            return
+        elif kind == "end":
+            yield ("end", labels.pop())
+            label = item_label
+        else:
+            yield ("start", label)
+            labels.append(label)
+            label = item_label

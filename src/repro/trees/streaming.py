@@ -46,14 +46,18 @@ def events_of(
     :func:`~repro.trees.json_parser.iter_json_events` — no tree is ever
     built, so multi-GB corpora stream in memory bounded by document
     depth.  ``format`` forces ``"xml"`` or ``"json"``; when omitted,
-    textual input is sniffed by its first non-whitespace character
-    (``<`` means XML) and file-like input defaults to XML.
+    textual input is sniffed by its first non-whitespace character (after
+    a UTF-8 byte-order mark in bytes; ``<`` means XML) and file-like
+    input defaults to XML.
     """
     if isinstance(source, Tree):
         return _tree_events(source)
     if format is None:
         if isinstance(source, (str, bytes, bytearray)):
-            head = source.lstrip()[:1]
+            if isinstance(source, str):
+                head = source.lstrip()[:1]
+            else:  # bytes are decoded as utf-8-sig: skip the mark
+                head = source.removeprefix(b"\xef\xbb\xbf").lstrip()[:1]
             xml = head in ("<", b"<")
         else:
             xml = True

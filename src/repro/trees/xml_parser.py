@@ -4,16 +4,32 @@ the Grijzenhout & Marx study (Section 3.1).
 The study found that 85% of 180k crawled XML files are well-formed and
 that 9 error categories account for 99% of the violations, the top three
 (79.9%) being *tag mismatch*, *premature end of data* and *improper
-encoding*.  This module provides:
+encoding*.
 
-* :func:`parse_xml` — parse a document into a :class:`~repro.trees.tree.Tree`,
-  raising :class:`~repro.errors.XMLParseError` with a machine-readable
-  ``category`` on the first violation;
-* :func:`check_well_formedness` — collect *all* detected violations,
+One tokenizer, :func:`_tokens`, is the only code that scans XML text.
+It reads a :class:`~repro.trees.chunked.ChunkFeeder` and yields start
+tags (name, attributes, self-closing), end tags, raw character data and
+CDATA sections.  A recoverable lexical error (a malformed attribute, a
+``<`` that starts no tag, a bad reference in an attribute value) is a
+token too; a fatal one (premature end inside markup, a malformed end
+tag, undecodable bytes) raises.  Every entry point consumes those
+tokens:
+
+* :func:`check_well_formedness` folds them into a
+  :class:`~repro.trees.tree.Tree`, adding the structural checks (tag
+  balance, root count, text outside the root), entity decoding of
+  character data and recovery, and collects *all* detected violations,
   mirroring how the study classified its corpus;
+* :func:`parse_xml` raises the first of those violations as
+  :class:`~repro.errors.XMLParseError` with a machine-readable
+  ``category``;
 * :func:`attempt_repair` — the simple recovery strategies the study
   suggests are feasible for the dominant categories (auto-closing and
-  re-pairing mismatched tags).
+  re-pairing mismatched tags);
+* :func:`iter_xml_events` projects the tokens to ``start``/``end``/
+  ``text`` events over chunked input and raises at the first error
+  token, so a lexical error has the same category and position as the
+  first error :func:`check_well_formedness` reports.
 
 The parser covers the XML subset relevant for structural studies:
 elements, attributes, text, comments, processing instructions, CDATA and
@@ -22,10 +38,12 @@ an optional XML declaration.  DOCTYPE internal subsets are skipped.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import List, Optional as Opt, Tuple
+from typing import Iterator, List, Optional as Opt, Tuple
 
 from ..errors import XMLParseError
+from .chunked import ChunkFeeder
 from .tree import Tree, TreeNode
 
 # Error categories, named after the study's taxonomy.
@@ -53,10 +71,11 @@ ERROR_CATEGORIES = (
     STRAY_END_TAG,
 )
 
-_NAME_START = set(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_:"
-)
-_NAME_CHARS = _NAME_START | set("0123456789.-")
+_NAME = re.compile(r"[A-Za-z_:][A-Za-z0-9_:.\-]*")
+_SPACE = re.compile(r"\s*")
+_UNQUOTED = re.compile(r"[^\s>/]*")
+_RESYNC = re.compile(r"[>/]")
+_DOCTYPE_STOP = re.compile(r"[\[\]>]")
 
 
 @dataclass
@@ -83,45 +102,6 @@ class WellFormednessReport:
     @property
     def primary_category(self) -> Opt[str]:
         return self.errors[0].category if self.errors else None
-
-
-class _Scanner:
-    """Character scanner with the error-collection plumbing."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.n = len(text)
-
-    def eof(self) -> bool:
-        return self.pos >= self.n
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < self.n else ""
-
-    def advance(self) -> str:
-        ch = self.text[self.pos]
-        self.pos += 1
-        return ch
-
-    def startswith(self, token: str) -> bool:
-        return self.text.startswith(token, self.pos)
-
-    def skip_whitespace(self) -> None:
-        while self.pos < self.n and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def read_name(self) -> Opt[str]:
-        if self.eof() or self.peek() not in _NAME_START:
-            return None
-        start = self.pos
-        self.pos += 1
-        while self.pos < self.n and self.text[self.pos] in _NAME_CHARS:
-            self.pos += 1
-        return self.text[start : self.pos]
-
-    def find(self, token: str) -> int:
-        return self.text.find(token, self.pos)
 
 
 def _decode_entities(text: str, scanner_pos: int, errors: List[XMLError]) -> str:
@@ -178,130 +158,222 @@ def _decode_entities(text: str, scanner_pos: int, errors: List[XMLError]) -> str
     return "".join(out)
 
 
-def _parse_attributes(
-    scanner: _Scanner, errors: List[XMLError]
-) -> Tuple[dict, bool]:
-    """Parse attributes up to '>' or '/>'.  Returns (attrs, self_closing).
+# ----------------------------------------------------------------------
+# The tokenizer
+# ----------------------------------------------------------------------
 
-    Raises XMLParseError(PREMATURE_END) when the tag never closes.
+
+class _More(Exception):
+    """The token runs past the buffered text: refill and scan it again."""
+
+
+def _cut(eof: bool, message: str, position: int) -> Exception:
+    """What a token that reaches the end of the buffer raises: a rescan
+    request while more input may come, else premature end of data."""
+    if not eof:
+        return _More()
+    return XMLParseError(message, position=position, category=PREMATURE_END)
+
+
+def _attributes(
+    buf: str, i: int, eof: bool, base: int, errors: List[XMLError]
+) -> Tuple[dict, bool, int]:
+    """Scan a start tag's attributes from ``buf[i]`` (just past its name)
+    up to ``>`` or ``/>``.  Returns (attributes, self_closing, end).
+
+    Malformed attributes are recorded in ``errors`` and skipped; a tag
+    or value the input ends inside is fatal (premature end).
     """
+    n = len(buf)
     attributes: dict = {}
     while True:
-        scanner.skip_whitespace()
-        if scanner.eof():
-            raise XMLParseError(
-                "premature end of data inside tag",
-                position=scanner.pos,
-                category=PREMATURE_END,
-            )
-        if scanner.startswith("/>"):
-            scanner.pos += 2
-            return attributes, True
-        if scanner.peek() == ">":
-            scanner.advance()
-            return attributes, False
-        name = scanner.read_name()
-        if name is None:
+        i = _SPACE.match(buf, i).end()
+        if i >= n:
+            raise _cut(eof, "premature end of data inside tag", base + i)
+        ch = buf[i]
+        if ch == ">":
+            return attributes, False, i + 1
+        if ch == "/":
+            if i + 1 >= n and not eof:
+                raise _More
+            if buf.startswith("/>", i):
+                return attributes, True, i + 2
+        match = _NAME.match(buf, i)
+        if match is None:
             errors.append(
                 XMLError(
-                    BAD_ATTRIBUTE,
-                    f"malformed attribute near {scanner.peek()!r}",
-                    scanner.pos,
+                    BAD_ATTRIBUTE, f"malformed attribute near {ch!r}", base + i
                 )
             )
             # resynchronize: always consume at least one character (a
             # lone '/' not followed by '>' would otherwise loop), then
             # skip to the next delimiter
-            if not scanner.eof() and scanner.peek() != ">":
-                scanner.advance()
-            while not scanner.eof() and scanner.peek() not in ">/":
-                scanner.advance()
+            stop = _RESYNC.search(buf, i + 1)
+            if stop is None and not eof:
+                raise _More
+            i = n if stop is None else stop.start()
             continue
-        scanner.skip_whitespace()
-        if scanner.peek() != "=":
+        name = match.group()
+        i = _SPACE.match(buf, match.end()).end()
+        if i >= n and not eof:
+            raise _More
+        if i >= n or buf[i] != "=":
             errors.append(
                 XMLError(
-                    BAD_ATTRIBUTE,
-                    f"attribute {name!r} without value",
-                    scanner.pos,
+                    BAD_ATTRIBUTE, f"attribute {name!r} without value", base + i
                 )
             )
             attributes[name] = ""
             continue
-        scanner.advance()  # '='
-        scanner.skip_whitespace()
-        quote = scanner.peek()
-        if quote not in ("'", '"'):
+        i = _SPACE.match(buf, i + 1).end()
+        if i >= n and not eof:
+            raise _More
+        quote = buf[i] if i < n else ""
+        if quote != '"' and quote != "'":
             errors.append(
                 XMLError(
                     BAD_ATTRIBUTE,
                     f"unquoted value for attribute {name!r}",
-                    scanner.pos,
+                    base + i,
                 )
             )
-            start = scanner.pos
-            while not scanner.eof() and not scanner.peek().isspace() and (
-                scanner.peek() not in ">/"
-            ):
-                scanner.advance()
-            attributes[name] = scanner.text[start : scanner.pos]
+            end = _UNQUOTED.match(buf, i).end()
+            if end >= n and not eof:
+                raise _More
+            attributes[name] = buf[i:end]
+            i = end
             continue
-        scanner.advance()
-        end = scanner.find(quote)
+        i += 1
+        end = buf.find(quote, i)
         if end == -1:
-            raise XMLParseError(
-                f"unterminated value for attribute {name!r}",
-                position=scanner.pos,
-                category=PREMATURE_END,
+            raise _cut(
+                eof, f"unterminated value for attribute {name!r}", base + i
             )
-        attributes[name] = _decode_entities(
-            scanner.text[scanner.pos : end], scanner.pos, errors
-        )
-        scanner.pos = end + 1
+        attributes[name] = _decode_entities(buf[i:end], base + i, errors)
+        i = end + 1
 
 
-def _skip_markup(scanner: _Scanner) -> bool:
-    """Skip comments, PIs, CDATA (handled by caller), DOCTYPE.
-
-    Returns True when something was skipped.  Raises on unterminated
-    constructs (premature end).
-    """
-    if scanner.startswith("<!--"):
-        end = scanner.text.find("-->", scanner.pos + 4)
-        if end == -1:
-            raise XMLParseError(
-                "unterminated comment",
-                position=scanner.pos,
-                category=PREMATURE_END,
-            )
-        scanner.pos = end + 3
-        return True
-    if scanner.startswith("<?"):
-        end = scanner.text.find("?>", scanner.pos + 2)
-        if end == -1:
-            raise XMLParseError(
-                "unterminated processing instruction",
-                position=scanner.pos,
-                category=PREMATURE_END,
-            )
-        scanner.pos = end + 2
-        return True
-    if scanner.startswith("<!DOCTYPE") or scanner.startswith("<!doctype"):
-        depth = 0
-        while not scanner.eof():
-            ch = scanner.advance()
-            if ch == "[":
-                depth += 1
-            elif ch == "]":
-                depth -= 1
-            elif ch == ">" and depth <= 0:
-                return True
+def _markup(
+    buf: str, p: int, eof: bool, base: int, errors: List[XMLError]
+) -> Tuple[Opt[tuple], int]:
+    """Scan the markup starting at ``buf[p] == '<'``.  Returns (token or
+    None for skipped markup, end); recoverable errors go to ``errors``."""
+    n = len(buf)
+    if n - p < 9 and not eof:  # the longest prefix told apart: <![CDATA[
+        raise _More
+    second = buf[p + 1 : p + 2]
+    if second == "/":
+        match = _NAME.match(buf, p + 2)
+        i = _SPACE.match(buf, match.end() if match else p + 2).end()
+        if i < n and match is not None and buf[i] == ">":
+            return ("end", match.group(), base + p), i + 1
+        if i >= n and not eof:
+            raise _More
         raise XMLParseError(
-            "unterminated DOCTYPE",
-            position=scanner.pos,
-            category=PREMATURE_END,
+            "malformed end tag",
+            position=base + p,
+            category=PREMATURE_END if i >= n else TAG_MISMATCH,
         )
-    return False
+    if second == "!":
+        if buf.startswith("<![CDATA[", p):
+            end = buf.find("]]>", p + 9)
+            if end == -1:
+                raise _cut(eof, "unterminated CDATA section", base + p)
+            return ("cdata", buf[p + 9 : end], base + p), end + 3
+        if buf.startswith("<!--", p):
+            end = buf.find("-->", p + 4)
+            if end == -1:
+                raise _cut(eof, "unterminated comment", base + p)
+            return None, end + 3
+        if buf.startswith("<!DOCTYPE", p) or buf.startswith("<!doctype", p):
+            depth = 0
+            i = p
+            while True:
+                stop = _DOCTYPE_STOP.search(buf, i)
+                if stop is None:
+                    raise _cut(eof, "unterminated DOCTYPE", base + n)
+                i = stop.end()
+                if buf[i - 1] == "[":
+                    depth += 1
+                elif buf[i - 1] == "]":
+                    depth -= 1
+                elif depth <= 0:
+                    return None, i
+    elif second == "?":
+        end = buf.find("?>", p + 2)
+        if end == -1:
+            raise _cut(eof, "unterminated processing instruction", base + p)
+        return None, end + 2
+    match = _NAME.match(buf, p + 1)
+    if match is None:
+        errors.append(
+            XMLError(UNESCAPED_CHAR, "unescaped '<' in content", base + p)
+        )
+        return None, p + 1
+    attributes, self_closing, end = _attributes(
+        buf, match.end(), eof, base, errors
+    )
+    return ("start", match.group(), attributes, self_closing, base + p), end
+
+
+def _tokens(feeder: ChunkFeeder) -> Iterator[tuple]:
+    """The XML tokens of ``feeder``'s input, in document order:
+
+    * ``("start", name, attributes, self_closing, position)``
+    * ``("end", name, position)``
+    * ``("text", raw, position)`` — character data, entity references
+      undecoded; a run may come in pieces when it spans chunks
+    * ``("cdata", content, position)``
+    * ``("error", XMLError)`` — a recoverable lexical error
+
+    Comments, processing instructions and DOCTYPE are skipped.  Fatal
+    errors raise :class:`~repro.errors.XMLParseError`; recoverable errors
+    found inside the same markup are yielded first.
+    """
+    buf, p, base, eof = feeder.buf, feeder.pos, feeder.base, feeder.eof
+    while True:
+        n = len(buf)
+        if p >= n:
+            feeder.pos = p
+            if not feeder.refill():
+                return
+            buf, p, base, eof = feeder.buf, feeder.pos, feeder.base, feeder.eof
+            continue
+        if buf[p] != "<":
+            # a text run; yield what the buffer holds, so a run longer
+            # than a chunk costs no more than a chunk of memory
+            end = buf.find("<", p)
+            if end == -1:
+                end = n
+            yield ("text", buf[p:end], base + p)
+            p = end
+            continue
+        errors: List[XMLError] = []
+        try:
+            token, end = _markup(buf, p, eof, base, errors)
+        except _More:
+            feeder.pos = p
+            feeder.refill()
+            buf, p, base, eof = feeder.buf, feeder.pos, feeder.base, feeder.eof
+            continue
+        except XMLParseError:
+            for error in errors:
+                yield ("error", error)
+            raise
+        for error in errors:
+            yield ("error", error)
+        p = end
+        if token is not None:
+            yield token
+
+
+def _xml_decode_error(message: str, position: int) -> XMLParseError:
+    return XMLParseError(message, position=position, category=BAD_ENCODING)
+
+
+# ----------------------------------------------------------------------
+# Folds over the tokens
+# ----------------------------------------------------------------------
 
 
 def parse_xml(text: str) -> Tree:
@@ -319,98 +391,44 @@ def parse_xml(text: str) -> Tree:
 def check_well_formedness(data) -> WellFormednessReport:
     """Classify ``data`` (str or bytes) like the Grijzenhout–Marx study.
 
-    Byte input is decoded as UTF-8 first; decoding failures are the
-    study's third-most-common category (:data:`BAD_ENCODING`).
-    Collection is best-effort: after a fatal error (premature end) the
-    scan stops, while recoverable errors (bad attributes, mismatched
-    tags) are recorded and the scan continues.
+    Byte input is decoded as UTF-8 (a leading byte-order mark is
+    allowed) before the first token; decoding failures are the study's
+    third-most-common category (:data:`BAD_ENCODING`), reported at the
+    character offset of the first undecodable byte.  Collection is
+    best-effort: after a fatal error (premature end) the scan stops,
+    while recoverable errors (bad attributes, mismatched tags) are
+    recorded and the scan continues.
     """
-    errors: List[XMLError] = []
     if isinstance(data, bytes):
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            return WellFormednessReport(
-                False,
-                [XMLError(BAD_ENCODING, str(exc), exc.start)],
-            )
+        # one chunk: an encoding error is then the document's only error
+        feeder = ChunkFeeder(data, len(data), error_factory=_xml_decode_error)
     else:
-        text = data
-
-    scanner = _Scanner(text)
+        feeder = ChunkFeeder(data)
+    errors: List[XMLError] = []
     root: Opt[TreeNode] = None
     stack: List[TreeNode] = []
-    text_start = 0
-
-    def flush_text(upto: int) -> None:
-        if not stack:
-            return
-        chunk = text[text_start:upto]
-        if chunk.strip():
-            decoded = _decode_entities(chunk, text_start, errors)
-            node = stack[-1]
-            node.value = (node.value or "") + decoded.strip()
-
     try:
-        while not scanner.eof():
-            if scanner.peek() != "<":
-                if not stack:
-                    # text outside any element
-                    start = scanner.pos
-                    while not scanner.eof() and scanner.peek() != "<":
-                        scanner.advance()
-                    chunk = text[start : scanner.pos]
-                    if chunk.strip():
-                        category = (
-                            JUNK_AFTER_ROOT if root is not None else EMPTY_DOCUMENT
-                        )
-                        errors.append(
-                            XMLError(
-                                category,
-                                "character data outside the root element",
-                                start,
-                            )
-                        )
-                    continue
-                text_start = scanner.pos
-                while not scanner.eof() and scanner.peek() != "<":
-                    if scanner.peek() == "&":
-                        pass  # validated by _decode_entities at flush
-                    scanner.advance()
-                flush_text(scanner.pos)
-                continue
-
-            # markup
-            if scanner.startswith("<![CDATA["):
-                end = scanner.text.find("]]>", scanner.pos + 9)
-                if end == -1:
-                    raise XMLParseError(
-                        "unterminated CDATA section",
-                        position=scanner.pos,
-                        category=PREMATURE_END,
-                    )
+        for token in _tokens(feeder):
+            kind = token[0]
+            if kind == "start":
+                _, name, attributes, self_closing, tag_pos = token
+                node = TreeNode(name, attributes=attributes)
                 if stack:
-                    node = stack[-1]
-                    chunk = text[scanner.pos + 9 : end]
-                    node.value = (node.value or "") + chunk
-                scanner.pos = end + 3
-                continue
-            if _skip_markup(scanner):
-                continue
-            if scanner.startswith("</"):
-                tag_pos = scanner.pos
-                scanner.pos += 2
-                name = scanner.read_name()
-                scanner.skip_whitespace()
-                if name is None or scanner.peek() != ">":
-                    raise XMLParseError(
-                        "malformed end tag",
-                        position=tag_pos,
-                        category=PREMATURE_END
-                        if scanner.eof()
-                        else TAG_MISMATCH,
+                    stack[-1].add_child(node)
+                elif root is None:
+                    root = node
+                else:
+                    errors.append(
+                        XMLError(
+                            MULTIPLE_ROOTS,
+                            f"second root element <{name}>",
+                            tag_pos,
+                        )
                     )
-                scanner.advance()
+                if not self_closing:
+                    stack.append(node)
+            elif kind == "end":
+                _, name, tag_pos = token
                 if not stack:
                     errors.append(
                         XMLError(
@@ -440,37 +458,31 @@ def check_well_formedness(data) -> WellFormednessReport:
                             stack.pop()
                     continue
                 stack.pop()
-                continue
-
-            # start tag
-            tag_pos = scanner.pos
-            scanner.advance()  # '<'
-            name = scanner.read_name()
-            if name is None:
-                errors.append(
-                    XMLError(
-                        UNESCAPED_CHAR,
-                        "unescaped '<' in content",
-                        tag_pos,
+            elif kind == "text":
+                _, chunk, start = token
+                if not chunk.strip():
+                    continue
+                if stack:
+                    decoded = _decode_entities(chunk, start, errors)
+                    node = stack[-1]
+                    node.value = (node.value or "") + decoded.strip()
+                else:
+                    category = (
+                        JUNK_AFTER_ROOT if root is not None else EMPTY_DOCUMENT
                     )
-                )
-                continue
-            attributes, self_closing = _parse_attributes(scanner, errors)
-            node = TreeNode(name, attributes=attributes)
-            if stack:
-                stack[-1].add_child(node)
-            elif root is None:
-                root = node
+                    errors.append(
+                        XMLError(
+                            category,
+                            "character data outside the root element",
+                            start,
+                        )
+                    )
+            elif kind == "cdata":
+                if stack:
+                    node = stack[-1]
+                    node.value = (node.value or "") + token[1]
             else:
-                errors.append(
-                    XMLError(
-                        MULTIPLE_ROOTS,
-                        f"second root element <{name}>",
-                        tag_pos,
-                    )
-                )
-            if not self_closing:
-                stack.append(node)
+                errors.append(token[1])
     except XMLParseError as exc:
         errors.append(
             XMLError(exc.category or PREMATURE_END, exc.message, exc.position or 0)
@@ -483,7 +495,7 @@ def check_well_formedness(data) -> WellFormednessReport:
             XMLError(
                 UNCLOSED_ELEMENT,
                 f"end of document with open elements: {open_labels}",
-                scanner.pos,
+                feeder.position,
             )
         )
     if root is None:
@@ -527,58 +539,24 @@ def attempt_repair(text: str) -> Opt[Tree]:
 
 
 def _close_all_open(text: str) -> str:
-    """Append missing end tags, in reverse open order."""
-    scanner = _Scanner(text)
+    """Append missing end tags, in reverse open order, for the elements
+    the tokens open before the input ends or a fatal error stops them."""
     stack: List[str] = []
-    while not scanner.eof():
-        if scanner.peek() != "<":
-            scanner.advance()
-            continue
-        if scanner.startswith("<!--") or scanner.startswith("<?") or (
-            scanner.startswith("<![CDATA[") or scanner.startswith("<!DOCTYPE")
-        ):
-            try:
-                if scanner.startswith("<![CDATA["):
-                    end = scanner.text.find("]]>", scanner.pos)
-                    scanner.pos = len(text) if end == -1 else end + 3
-                else:
-                    _skip_markup(scanner)
-            except XMLParseError:
-                break
-            continue
-        if scanner.startswith("</"):
-            scanner.pos += 2
-            name = scanner.read_name()
-            if name and stack and name in stack:
-                while stack and stack[-1] != name:
-                    stack.pop()
-                if stack:
-                    stack.pop()
-            gt = scanner.find(">")
-            scanner.pos = len(text) if gt == -1 else gt + 1
-            continue
-        scanner.advance()
-        name = scanner.read_name()
-        if name is None:
-            continue
-        gt = scanner.find(">")
-        if gt == -1:
-            scanner.pos = len(text)
-            continue
-        self_closing = text[gt - 1] == "/"
-        scanner.pos = gt + 1
-        if not self_closing:
-            stack.append(name)
+    try:
+        for token in _tokens(ChunkFeeder(text)):
+            if token[0] == "start" and not token[3]:
+                stack.append(token[1])
+            elif token[0] == "end" and token[1] in stack:
+                while stack.pop() != token[1]:
+                    pass
+    except XMLParseError:
+        pass
     return text + "".join(f"</{name}>" for name in reversed(stack))
 
 
 # ----------------------------------------------------------------------
 # Incremental event streaming (chunked, no Tree construction)
 # ----------------------------------------------------------------------
-
-
-def _xml_decode_error(message: str, position: int) -> XMLParseError:
-    return XMLParseError(message, position=position, category=BAD_ENCODING)
 
 
 def iter_xml_events(source, chunk_size: int = 65536):
@@ -588,202 +566,36 @@ def iter_xml_events(source, chunk_size: int = 65536):
 
     No :class:`~repro.trees.tree.Tree` is ever built: memory is bounded
     by the largest single token (tag, comment, CDATA section) plus one
-    chunk, so multi-GB documents stream in constant memory.  The
-    tokenizer is deliberately structure-agnostic — tag balance and
-    root-count checks are the *consumer's* job (the streaming validators
-    detect them as malformed streams) — but lexically broken input
-    (premature end of markup, bad names, undecodable bytes) raises
-    :class:`~repro.errors.XMLParseError` with the study's category.
+    chunk, so multi-GB documents stream in constant memory.  The events
+    are the tokens of the tokenizer :func:`check_well_formedness` folds,
+    so a lexical error (premature end of markup, a malformed tag or
+    attribute, a ``<`` that starts no tag, undecodable bytes) raises
+    :class:`~repro.errors.XMLParseError` with the category and position
+    the strict parser reports for it.  Structure is the *consumer's*
+    job: tag balance, root count and text outside the root are checked
+    by the streaming validators (as malformed streams) and by the tree
+    fold, not here.
 
     Self-closing elements yield a ``start`` immediately followed by the
     matching ``end``.  Comments, processing instructions, DOCTYPE and
     the XML declaration are skipped; CDATA yields its content as text.
-    Entity references in text are *not* decoded (validation only looks
-    at structure).  Text may be split across several ``text`` events at
-    chunk boundaries.
+    Entity references in text are passed through undecoded and
+    unchecked (validation only looks at structure).  Text may be split
+    across several ``text`` events at chunk boundaries.
     """
-    from .chunked import ChunkFeeder
-
     feeder = ChunkFeeder(source, chunk_size, error_factory=_xml_decode_error)
-    yield from _iter_xml_events(feeder)
-
-
-def _read_stream_name(feeder) -> str:
-    first = feeder.peek()
-    if first is None or first not in _NAME_START:
-        raise XMLParseError(
-            f"expected a name, found {first!r}",
-            position=feeder.position,
-            category=UNESCAPED_CHAR,
-        )
-    chars = [first]
-    feeder.advance()
-    while True:
-        ch = feeder.peek()
-        if ch is None or ch not in _NAME_CHARS:
-            return "".join(chars)
-        chars.append(ch)
-        feeder.advance()
-
-
-def _skip_stream_doctype(feeder) -> None:
-    depth = 0
-    while True:
-        ch = feeder.peek()
-        if ch is None:
+    for token in _tokens(feeder):
+        kind = token[0]
+        if kind == "start":
+            yield ("start", token[1])
+            if token[3]:
+                yield ("end", token[1])
+        elif kind == "end":
+            yield ("end", token[1])
+        elif kind == "error":
+            error = token[1]
             raise XMLParseError(
-                "unterminated markup declaration",
-                position=feeder.position,
-                category=PREMATURE_END,
+                error.message, position=error.position, category=error.category
             )
-        feeder.advance()
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        elif ch == ">" and depth <= 0:
-            return
-
-
-def _iter_xml_events(feeder):
-    while True:
-        ch = feeder.peek()
-        if ch is None:
-            return
-        if ch != "<":
-            # Text run: emit what the buffer holds and loop; splitting
-            # long runs keeps memory at one chunk.
-            idx = feeder.buf.find("<", feeder.pos)
-            end = len(feeder.buf) if idx == -1 else idx
-            if end > feeder.pos:
-                yield ("text", feeder.buf[feeder.pos : end])
-                feeder.pos = end
-            continue
-        # Markup.  Classify by prefix (longest is 9 chars).
-        feeder.ensure(9)
-        if feeder.startswith("<!--"):
-            feeder.advance(4)
-            if feeder.take_until("-->") is None:
-                raise XMLParseError(
-                    "unterminated comment",
-                    position=feeder.position,
-                    category=PREMATURE_END,
-                )
-            continue
-        if feeder.startswith("<![CDATA["):
-            feeder.advance(9)
-            content = feeder.take_until("]]>")
-            if content is None:
-                raise XMLParseError(
-                    "unterminated CDATA section",
-                    position=feeder.position,
-                    category=PREMATURE_END,
-                )
-            if content:
-                yield ("text", content)
-            continue
-        if feeder.startswith("<?"):
-            feeder.advance(2)
-            if feeder.take_until("?>") is None:
-                raise XMLParseError(
-                    "unterminated processing instruction",
-                    position=feeder.position,
-                    category=PREMATURE_END,
-                )
-            continue
-        if feeder.startswith("<!"):
-            feeder.advance(2)
-            _skip_stream_doctype(feeder)
-            continue
-        if feeder.startswith("</"):
-            feeder.advance(2)
-            name = _read_stream_name(feeder)
-            while True:
-                ch = feeder.peek()
-                if ch is None:
-                    raise XMLParseError(
-                        "premature end of data in end tag",
-                        position=feeder.position,
-                        category=PREMATURE_END,
-                    )
-                feeder.advance()
-                if ch == ">":
-                    break
-                if not ch.isspace():
-                    raise XMLParseError(
-                        f"unexpected {ch!r} in end tag",
-                        position=feeder.position,
-                        category=BAD_ATTRIBUTE,
-                    )
-            yield ("end", name)
-            continue
-        # Start tag: strict attribute lexing (name, '=', quoted value),
-        # matching the categories parse_xml raises for the same input.
-        feeder.advance(1)
-        name = _read_stream_name(feeder)
-        self_closing = False
-        while True:
-            ch = feeder.peek()
-            if ch is None:
-                raise XMLParseError(
-                    "premature end of data in tag",
-                    position=feeder.position,
-                    category=PREMATURE_END,
-                )
-            if ch.isspace():
-                feeder.advance()
-                continue
-            if ch == ">":
-                feeder.advance()
-                break
-            if ch == "/":
-                feeder.advance()
-                if feeder.peek() != ">":
-                    raise XMLParseError(
-                        f"malformed attribute near {feeder.peek()!r}",
-                        position=feeder.position,
-                        category=BAD_ATTRIBUTE,
-                    )
-                feeder.advance()
-                self_closing = True
-                break
-            if ch not in _NAME_START:
-                raise XMLParseError(
-                    f"malformed attribute near {ch!r}",
-                    position=feeder.position,
-                    category=BAD_ATTRIBUTE,
-                )
-            attr = _read_stream_name(feeder)
-            while feeder.peek() is not None and feeder.peek().isspace():
-                feeder.advance()
-            if feeder.peek() != "=":
-                raise XMLParseError(
-                    f"attribute {attr!r} without value",
-                    position=feeder.position,
-                    category=BAD_ATTRIBUTE,
-                )
-            feeder.advance()
-            while feeder.peek() is not None and feeder.peek().isspace():
-                feeder.advance()
-            quote = feeder.peek()
-            if quote not in ("'", '"'):
-                raise XMLParseError(
-                    f"unquoted value for attribute {attr!r}",
-                    position=feeder.position,
-                    category=BAD_ATTRIBUTE,
-                )
-            feeder.advance()
-            while True:
-                vch = feeder.peek()
-                if vch is None:
-                    raise XMLParseError(
-                        f"unterminated value for attribute {attr!r}",
-                        position=feeder.position,
-                        category=PREMATURE_END,
-                    )
-                feeder.advance()
-                if vch == quote:
-                    break
-        yield ("start", name)
-        if self_closing:
-            yield ("end", name)
+        elif token[1]:
+            yield ("text", token[1])

@@ -20,6 +20,7 @@ from repro.trees import (
     validate_events,
 )
 from repro.trees.json_parser import json_to_tree
+from repro.trees.xml_parser import check_well_formedness
 from repro.trees.streaming import _tree_events, events_of
 
 CHUNK_SIZES = (1, 3, 7, 64, 65536)
@@ -111,9 +112,46 @@ def test_xml_lexical_errors_are_typed_and_categorized(text, category):
 
 
 def test_xml_invalid_utf8_bytes_raise_bad_encoding():
-    with pytest.raises(XMLParseError) as info:
-        list(iter_xml_events(b"<r>\xff\xfe</r>", chunk_size=2))
-    assert info.value.category == "bad-encoding"
+    # the character offset of the first undecodable byte, at every chunk
+    # size and in the tree parser too: 'é' is 2 bytes but 1 character
+    cases = (
+        (b"<r>\xff\xfe</r>", 3),
+        ("<r>é".encode("utf-8") + b"\xff</r>", 4),
+        ("é<r>".encode("utf-8") + b"\xff", 4),
+        ("<r>é".encode("utf-8")[:-1], 3),  # truncated multi-byte tail
+    )
+    for data, position in cases:
+        strict = check_well_formedness(data).errors[0]
+        assert (strict.category, strict.position) == ("bad-encoding", position)
+        for chunk_size in CHUNK_SIZES:
+            for source in (data, io.BytesIO(data)):
+                with pytest.raises(XMLParseError) as info:
+                    list(iter_xml_events(source, chunk_size=chunk_size))
+                assert (info.value.category, info.value.position) == (
+                    "bad-encoding",
+                    position,
+                ), (data, chunk_size)
+
+
+def test_utf8_byte_order_mark_is_skipped():
+    xml = b"\xef\xbb\xbf<r><a/></r>"
+    for chunk_size in CHUNK_SIZES:
+        assert structural(iter_xml_events(xml, chunk_size=chunk_size)) == [
+            ("start", "r"),
+            ("start", "a"),
+            ("end", "a"),
+            ("end", "r"),
+        ]
+        assert list(iter_json_events(b"\xef\xbb\xbf[1]", chunk_size=chunk_size)) == [
+            ("start", "$"),
+            ("start", "item"),
+            ("end", "item"),
+            ("end", "$"),
+        ]
+    dtd = DTD.from_rules({"r": "(a)*", "a": ""}, start=["r"])
+    assert validate_events(dtd, events_of(xml))
+    json_dtd = DTD.from_rules({"$": "(item)*", "item": ""}, start=["$"])
+    assert validate_events(json_dtd, events_of(b"\xef\xbb\xbf [1, 2]"))
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +202,43 @@ def test_json_lexical_errors_are_typed_and_categorized(text, category):
     with pytest.raises(JSONParseError) as info:
         list(iter_json_events(text, chunk_size=2))
     assert info.value.category == category
+
+
+# ---------------------------------------------------------------------------
+# One lexer per format: the stream raises the strict parser's first error
+# ---------------------------------------------------------------------------
+
+
+def _strict_first_error(text):
+    if text.lstrip().startswith("<"):
+        first = check_well_formedness(text).errors[0]
+        return first.category, first.position
+    with pytest.raises(JSONParseError) as info:
+        parse_json(text)
+    return info.value.category, info.value.position
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "<r></r x>",
+        "<r><!FOO bar></r>",
+        "<r><1/></r>",
+        "[trueish]",
+        "[tru]",
+        "[nul]",
+        "[True]",
+        '{"a":1,}',
+    ],
+)
+def test_stream_raises_the_strict_parsers_first_error(text):
+    expected = _strict_first_error(text)
+    for chunk_size in (1, 2, 7, 65536):
+        with pytest.raises((XMLParseError, JSONParseError)) as info:
+            list(events_of(text, chunk_size=chunk_size))
+        assert (info.value.category, info.value.position) == expected, (
+            chunk_size
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,11 @@ class TestWellFormed:
         report = check_well_formedness("<a>é</a>".encode("utf-8"))
         assert report.well_formed
 
+    def test_utf8_byte_order_mark_is_allowed(self):
+        report = check_well_formedness(b"\xef\xbb\xbf<r><a/></r>")
+        assert report.well_formed
+        assert report.tree.root.child_word() == ("a",)
+
 
 class TestErrorTaxonomy:
     """Each of the study's categories must be detected and classified."""
@@ -90,6 +95,21 @@ class TestErrorTaxonomy:
         report = check_well_formedness(b"<a>\xff\xfe</a>")
         assert not report.well_formed
         assert report.primary_category == BAD_ENCODING
+
+    @pytest.mark.parametrize(
+        "data,position",
+        [
+            (b"<r>\xff</r>", 3),
+            ("é<r>".encode("utf-8") + b"\xff", 4),  # 5 bytes, 4 characters
+            (b"\xef\xbb\xbf<r>\xff", 3),  # the byte-order mark is not text
+            (b"\xff\xfe<r/>", 0),  # a UTF-16 mark stays invalid
+        ],
+    )
+    def test_bad_encoding_reports_the_character_offset(self, data, position):
+        report = check_well_formedness(data)
+        assert [(e.category, e.position) for e in report.errors] == [
+            (BAD_ENCODING, position)
+        ]
 
     def test_unclosed_element(self):
         report = check_well_formedness("<a><b></b>")
