@@ -45,7 +45,8 @@ from repro.logs.battery import analyze_query_fused, clear_battery_memos
 from repro.logs.corpus import QueryLogCorpus
 from repro.logs.pipeline import run_study
 from repro.logs.workload import DBPEDIA, generate_source_log
-from repro.sparql.parser import _Parser, parse_query, tokenize_reference
+from repro.sparql.parser import _Parser, parse_query
+from repro.testing.reference import tokenize_reference
 
 RESULTS_PATH = (
     pathlib.Path(__file__).parent / "results" / "log_pipeline.json"

@@ -14,8 +14,10 @@ differ) and then derives the battery output in post-passes over the
 collected atoms and filters — building the canonical graph and
 hypergraph directly instead of re-walking the tree.  The expensive
 derivations that depend only on collected *structure* (shape ladder,
-hypertree width, free-connex acyclicity) are additionally memoized on
-that structure, which template-generated real-world logs hit hard.
+hypertree width, free-connex acyclicity, and each property path's
+Table 8 bucket and fragment classes, keyed by its IRI-free type) are
+additionally memoized on that structure, which template-generated
+real-world logs hit hard.
 
 The output contract is strict: for every query the result dict is
 key-for-key and value-for-value identical to ``analyze_query`` — same
@@ -53,6 +55,7 @@ from ..sparql.pathtypes import (
     path_in_ctract,
     path_in_ttract,
     path_is_simple_transitive,
+    path_type_key,
     table8_bucket,
 )
 from ..sparql.shapes import CanonicalGraph, _node_key, shape_of
@@ -110,6 +113,7 @@ _MEMO_LIMIT = 65536
 _shape_memo: Dict[Tuple, Tuple[str, str]] = {}
 _htw_memo: Dict[Tuple, Opt[int]] = {}
 _fca_memo: Dict[Tuple, bool] = {}
+_path_memo: Dict[Tuple, Tuple[str, Tuple]] = {}
 
 
 def clear_battery_memos() -> None:
@@ -118,6 +122,7 @@ def clear_battery_memos() -> None:
     _shape_memo.clear()
     _htw_memo.clear()
     _fca_memo.clear()
+    _path_memo.clear()
 
 
 class _Facts:
@@ -412,6 +417,26 @@ def _free_connex(
     return result
 
 
+def _path_verdicts(path) -> Tuple[str, Tuple]:
+    """The Table 8 bucket and the (simple transitive, C_tract, T_tract)
+    verdicts of one path, computed once per type key."""
+    key = path_type_key(path)
+    verdicts = _path_memo.get(key)
+    if verdicts is None:
+        verdicts = (
+            table8_bucket(path),
+            (
+                path_is_simple_transitive(path),
+                path_in_ctract(path),
+                path_in_ttract(path),
+            ),
+        )
+        if len(_path_memo) >= _MEMO_LIMIT:
+            _path_memo.clear()
+        _path_memo[key] = verdicts
+    return verdicts
+
+
 def analyze_query_fused(query: Query) -> Dict[str, object]:
     """Single-traversal equivalent of
     :func:`~repro.logs.analyzer.analyze_query` (identical output)."""
@@ -521,15 +546,7 @@ def analyze_query_fused(query: Query) -> Dict[str, object]:
             out["uwd"] = well_designed
 
     if facts.plain_paths:
-        out["path_buckets"] = [
-            table8_bucket(path) for path in facts.plain_paths
-        ]
-        out["path_classes"] = [
-            (
-                path_is_simple_transitive(path),
-                path_in_ctract(path),
-                path_in_ttract(path),
-            )
-            for path in facts.plain_paths
-        ]
+        verdicts = [_path_verdicts(path) for path in facts.plain_paths]
+        out["path_buckets"] = [bucket for bucket, _ in verdicts]
+        out["path_classes"] = [classes for _, classes in verdicts]
     return out

@@ -65,26 +65,12 @@ from .paths_ast import (
     sequence,
 )
 
-_TOKEN_RE = _re.compile(
-    r"""
-    (?P<WS>\s+|\#[^\n]*)
-  | (?P<IRIREF><[^<>"{}|^`\\\s]*>)
-  | (?P<STRING>"(?:[^"\\]|\\.)*"|'(?:[^'\\]|\\.)*')
-  | (?P<VAR>[?$][A-Za-z_][A-Za-z_0-9]*)
-  | (?P<BNODE>_:[A-Za-z_0-9]+)
-  | (?P<NUMBER>[+-]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)
-  | (?P<PNAME>[A-Za-z_][A-Za-z_0-9.\-]*:[A-Za-z_0-9.\-]*|:[A-Za-z_0-9.\-]+)
-  | (?P<KEYWORD>[A-Za-z_][A-Za-z_0-9\-]*)
-  | (?P<OP>\^\^|&&|\|\||!=|<=|>=|[{}()\[\].;,*+?/|^!=<>@-])
-    """,
-    _re.VERBOSE,
-)
-
 # Tight per-class scanners for the table-driven lexer.  Each is a
 # single character class (no alternation), so the sre engine runs them
-# as one linear scan; the first-match/fallback semantics of the big
-# alternation above are reproduced by the dispatch logic in
-# :func:`tokenize`.
+# as one linear scan; the first-match/fallback semantics of the
+# reference lexer's single alternation
+# (:func:`repro.testing.reference.tokenize_reference`) are reproduced
+# by the dispatch logic in :func:`tokenize`.
 _IRIREF_RE = _re.compile(r'<[^<>"{}|^`\\\s]*>')
 _STRING_DQ_RE = _re.compile(r'"(?:[^"\\]|\\.)*"')
 _STRING_SQ_RE = _re.compile(r"'(?:[^'\\]|\\.)*'")
@@ -97,6 +83,12 @@ _VARNAME_SPAN_RE = _re.compile(r"[A-Za-z_0-9]*")
 _BNODE_BODY_RE = _re.compile(r"[A-Za-z_0-9]+")
 
 _A_KEYWORD = "a"  # rdf:type shorthand
+#: the tokens after a path's first IRI that continue the path
+_PATH_OPS = frozenset("|/*+?")
+#: the keywords that start a construct inside a group graph pattern
+_GROUP_KEYWORDS = frozenset(
+    ("OPTIONAL", "MINUS", "FILTER", "BIND", "VALUES", "GRAPH", "SERVICE")
+)
 RDF_TYPE = IRI("rdf:type")
 
 _STRING_ESCAPES = {
@@ -180,30 +172,6 @@ class _Token:
         return f"{self.kind}({self.text!r})"
 
 
-def tokenize_reference(text: str) -> List[_Token]:
-    """The original regex lexer: one mega-alternation per token.
-
-    Kept as the reference oracle for :func:`tokenize` — the ``lexer``
-    differential target in :mod:`repro.testing` asserts both produce the
-    same token stream (kinds, texts, positions) and the same error
-    positions on malformed input.
-    """
-    tokens: List[_Token] = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise SPARQLParseError(
-                f"unexpected character {text[pos]!r}", position=pos
-            )
-        kind = match.lastgroup or ""
-        if kind != "WS":
-            tokens.append(_Token(kind, match.group(), pos))
-        pos = match.end()
-    return tokens
-
-
 # First-character dispatch classes for :func:`tokenize`.
 _SCAN_WS = 1
 _SCAN_NAME = 2
@@ -263,10 +231,11 @@ def tokenize(text: str) -> List[_Token]:
     """Table-driven scanner: first-char dispatch plus tight per-class
     scanners, with ``str.find`` fast paths for strings and comments.
 
-    Produces exactly the token stream (and error positions) of
-    :func:`tokenize_reference`; replacing the interpreted
-    nine-way alternation with direct dispatch roughly halves tokenize
-    time on real query logs.
+    Produces exactly the token stream (and error positions) of the
+    single-regex reference lexer,
+    :func:`repro.testing.reference.tokenize_reference`; replacing its
+    interpreted nine-way alternation with direct dispatch roughly
+    halves tokenize time on real query logs.
     """
     tokens: List[_Token] = []
     append = tokens.append
@@ -449,7 +418,8 @@ def tokenize(text: str) -> List[_Token]:
     return tokens
 
 
-#: historical internal name, kept for callers of the private API
+#: the binding :func:`parse_query` calls, looked up at call time so a
+#: profiler can wrap the lexer by rebinding this one name
 _tokenize = tokenize
 
 
@@ -805,64 +775,28 @@ class _Parser:
             else:
                 current = And(current, new_pattern)
 
-        while not self.at_op("}"):
-            if self.at_keyword("OPTIONAL"):
-                self.advance()
-                right = self.parse_group_graph_pattern()
-                left = current if current is not None else EmptyPattern()
-                current = OptPattern(left, right)
-                self._maybe_dot()
-                continue
-            if self.at_keyword("MINUS"):
-                self.advance()
-                right = self.parse_group_graph_pattern()
-                left = current if current is not None else EmptyPattern()
-                current = Minus(left, right)
-                self._maybe_dot()
-                continue
-            if self.at_keyword("FILTER"):
-                self.advance()
-                pending_filters.append(self.parse_constraint())
-                self._maybe_dot()
-                continue
-            if self.at_keyword("BIND"):
-                self.advance()
-                self.expect_op("(")
-                expression = self.parse_expression()
-                self.expect_keyword("AS")
-                var_token = self.advance()
-                if var_token.kind != "VAR":
-                    raise SPARQLParseError(
-                        "expected variable after AS", position=var_token.pos
-                    )
-                self.expect_op(")")
-                combine(Bind(expression, Var(var_token.text[1:])))
-                self._maybe_dot()
-                continue
-            if self.at_keyword("VALUES"):
-                self.advance()
-                combine(self.parse_values())
-                self._maybe_dot()
-                continue
-            if self.at_keyword("GRAPH"):
-                self.advance()
-                graph_term = self.parse_term()
-                inner = self.parse_group_graph_pattern()
-                combine(Graph(graph_term, inner))
-                self._maybe_dot()
-                continue
-            if self.at_keyword("SERVICE"):
-                self.advance()
-                silent = False
-                if self.at_keyword("SILENT"):
-                    self.advance()
-                    silent = True
-                endpoint = self.parse_term()
-                inner = self.parse_group_graph_pattern()
-                combine(Service(endpoint, inner, silent))
-                self._maybe_dot()
-                continue
-            if self.at_op("{"):
+        tokens = self.tokens
+        while True:
+            # read the current token once: only '{' or a group keyword
+            # starts a construct, every other token a triples block
+            pos = self.index
+            token = tokens[pos] if pos < self._n else None
+            word = None
+            if token is not None:
+                kind = token.kind
+                if kind == "OP":
+                    if token.text == "}":
+                        break
+                    if token.text == "{":
+                        word = "{"
+                elif kind == "KEYWORD":
+                    word = token.upper()
+                    if word not in _GROUP_KEYWORDS:
+                        word = None
+            if word is None:
+                for pattern in self.parse_triples_same_subject():
+                    combine(pattern)
+            elif word == "{":
                 inner = self.parse_group_graph_pattern()
                 # group followed by UNION?
                 while self.at_keyword("UNION"):
@@ -870,27 +804,52 @@ class _Parser:
                     right = self.parse_group_graph_pattern()
                     inner = UnionPattern(inner, right)
                 combine(inner)
-                self._maybe_dot()
-                continue
-            # triples block
-            patterns = self.parse_triples_same_subject()
-            for pattern in patterns:
-                combine(pattern)
+            else:
+                self.index = pos + 1
+                if word == "OPTIONAL":
+                    right = self.parse_group_graph_pattern()
+                    left = current if current is not None else EmptyPattern()
+                    current = OptPattern(left, right)
+                elif word == "MINUS":
+                    right = self.parse_group_graph_pattern()
+                    left = current if current is not None else EmptyPattern()
+                    current = Minus(left, right)
+                elif word == "FILTER":
+                    pending_filters.append(self.parse_constraint())
+                elif word == "BIND":
+                    self.expect_op("(")
+                    expression = self.parse_expression()
+                    self.expect_keyword("AS")
+                    var_token = self.advance()
+                    if var_token.kind != "VAR":
+                        raise SPARQLParseError(
+                            "expected variable after AS",
+                            position=var_token.pos,
+                        )
+                    self.expect_op(")")
+                    combine(Bind(expression, Var(var_token.text[1:])))
+                elif word == "VALUES":
+                    combine(self.parse_values())
+                elif word == "GRAPH":
+                    graph_term = self.parse_term()
+                    inner = self.parse_group_graph_pattern()
+                    combine(Graph(graph_term, inner))
+                else:  # SERVICE
+                    silent = False
+                    if self.at_keyword("SILENT"):
+                        self.advance()
+                        silent = True
+                    endpoint = self.parse_term()
+                    inner = self.parse_group_graph_pattern()
+                    combine(Service(endpoint, inner, silent))
+            # the '.' after a construct or a triples block is optional
             if self.at_op("."):
                 self.advance()
-                continue
-            if self.at_op("}"):
-                break
-            # allow consecutive constructs without dots
         self.expect_op("}")
         result: Pattern = current if current is not None else EmptyPattern()
         for constraint in pending_filters:
             result = Filter(result, constraint)
         return result
-
-    def _maybe_dot(self) -> None:
-        if self.at_op("."):
-            self.advance()
 
     def parse_values(self) -> Values:
         variables: List[Var] = []
@@ -968,14 +927,27 @@ class _Parser:
     def parse_verb(self):
         """A predicate: variable, or a property path (an IRI is the
         trivial path and is lowered back to a TriplePattern)."""
-        token = self.peek()
-        if token is None:
+        pos = self.index
+        if pos >= self._n:
             raise SPARQLParseError(
                 "expected predicate", position=len(self.source)
             )
-        if token.kind == "VAR":
-            self.advance()
+        token = self.tokens[pos]
+        kind = token.kind
+        if kind == "VAR":
+            self.index = pos + 1
             return Var(token.text[1:])
+        if kind == "IRIREF" or kind == "PNAME":
+            # a plain IRI predicate, the common case, skips the
+            # five-level path descent when no path operator follows
+            following = self.tokens[pos + 1] if pos + 1 < self._n else None
+            if (
+                following is None
+                or following.kind != "OP"
+                or following.text not in _PATH_OPS
+            ):
+                self.index = pos + 1
+                return PathAtom(token.text)
         return self.parse_path()
 
     # property paths -------------------------------------------------------------

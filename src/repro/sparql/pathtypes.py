@@ -13,7 +13,8 @@ type with its reverse (the paper's row for ``ab*`` also holds ``a*b``).
 :func:`table8_bucket` maps a path to the named Table 8 rows;
 :func:`type_regex` produces a word regex over the letters so the
 fragment classifiers of :mod:`repro.regex.classes` (simple transitive,
-C_tract, T_tract) apply directly.
+C_tract, T_tract) apply directly.  :func:`path_type_key` is everything
+the row and the fragment classes depend on, so it can memoize both.
 """
 
 from __future__ import annotations
@@ -144,6 +145,24 @@ def _reverse_path(path: PropertyPath) -> PropertyPath:
     return path  # atoms keep their identity at the type level
 
 
+def path_type_key(path: PropertyPath) -> Tuple[str, str, bool, bool]:
+    """Everything :func:`table8_bucket` and the fragment classifiers
+    read of a path: its type, its reverse's type, whether it is
+    transitive and whether it is a bare inverse atom.
+
+    Paths with one key get one bucket and one set of fragment verdicts,
+    so the key can memoize both.  The forward type alone is not enough:
+    ``<p>/^(<q>/<p>*)`` and ``<p>/(<q>/<p>*)`` are both ``aba*`` but
+    reverse to different types and land in different buckets.
+    """
+    return (
+        path_type(path),
+        path_type(_reverse_path(path)),
+        path.is_transitive(),
+        isinstance(path, PathInverse) and isinstance(path.child, PathAtom),
+    )
+
+
 def aggregate_type(path: PropertyPath) -> str:
     """Type with reverse aggregation: a path and its mirror get the same
     string (the paper reports ``ab*`` and ``a*b`` in one row).  We take
@@ -222,10 +241,10 @@ def table8_bucket(path: PropertyPath) -> str:
     tried against each bucket.  ``^a`` is the row for a bare
     single-inverse-atom path.
     """
-    if isinstance(path, PathInverse) and isinstance(path.child, PathAtom):
+    forward, backward, transitive, bare_inverse = path_type_key(path)
+    if bare_inverse:
         return "^a"
-    orientations = (path_type(path), path_type(_reverse_path(path)))
-    transitive = path.is_transitive()
+    orientations = (forward, backward)
     for bucket, pattern in _BUCKET_PATTERNS:
         if bucket == "^a":
             continue

@@ -438,16 +438,18 @@ def _sparql_path(rng: random.Random, depth: int) -> str:
             return "^" + (atom if atom != "a" else ":p")
         return atom
     kind = rng.randrange(5)
-    if kind == 0:
-        return (
-            f"({_sparql_path(rng, depth - 1)}/{_sparql_path(rng, depth - 1)})"
-        )
-    if kind == 1:
-        return (
-            f"({_sparql_path(rng, depth - 1)}|{_sparql_path(rng, depth - 1)})"
-        )
-    if kind == 2:
-        return f"({_sparql_path(rng, depth - 1)})" + rng.choice("*+?")
+    if kind < 3:
+        inner = _sparql_path(rng, depth - 1)
+        if kind == 2:
+            path = f"({inner})" + rng.choice("*+?")
+        else:
+            op = "/" if kind == 0 else "|"
+            path = f"({inner}{op}{_sparql_path(rng, depth - 1)})"
+        # the inverse of a compound path is typed through its child,
+        # unlike '^atom', which is one label of its own
+        if rng.random() < 0.2:
+            return f"^({path})"
+        return path
     if kind == 3:
         return "!(" + "|".join(
             rng.sample((":p", ":q", "^:r"), rng.randrange(1, 3))

@@ -49,7 +49,7 @@ from ..logs.workload import ALL_PROFILES, generate_source_log
 from ..regex.ast import Concat, Optional as OptRegex, Plus, Regex, Star, Union
 from ..regex.automata import glushkov
 from ..regex.determinism import is_deterministic
-from ..sparql.parser import parse_query
+from ..sparql.parser import parse_query, tokenize
 from ..sparql.serialize import serialize_query
 from ..trees.automata import (
     TreeAutomaton,
@@ -73,6 +73,7 @@ from .generators import (
     regex_from_json,
     regex_to_json,
 )
+from .reference import tokenize_reference
 from .shrink import sequence_candidates, text_candidates
 
 
@@ -786,8 +787,6 @@ class LexerOracle(Oracle):
         return text
 
     def check(self, case: str) -> Opt[str]:
-        from ..sparql.parser import tokenize, tokenize_reference
-
         try:
             expected = tokenize_reference(case)
             expected_error = None

@@ -126,3 +126,42 @@ def test_memo_overflow_resets_and_stays_correct(monkeypatch):
                 analyze_query_fused(query)
             ) == encode_analysis(analyze_query(query))
     assert len(battery._shape_memo) <= 2
+
+
+PATH_KEY_PAIR = (
+    ("SELECT * WHERE { ?s <p>/^(<q>/<p>*) ?o }", "ab*c"),
+    ("SELECT * WHERE { ?s <p>/(<q>/<p>*) ?o }", "abc*"),
+)
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "backward"])
+def test_path_memo_key_separates_equal_forward_types(order):
+    # both paths have forward type 'aba*'; only their reverses differ,
+    # so whichever is classified first must not answer for the other
+    clear_battery_memos()
+    for text, bucket in PATH_KEY_PAIR[::order]:
+        query = parse_query(text)
+        record = analyze_query_fused(query)
+        assert record["path_buckets"] == [bucket]
+        assert encode_analysis(record) == encode_analysis(
+            analyze_query(query)
+        )
+    assert len(battery._path_memo) == 2
+
+
+def test_path_memo_bare_inverse_and_clear():
+    # '^(^<p>)' types as 'a' both ways like '^<p>', but only a bare
+    # inverse atom is the row '^a'
+    for text, bucket in (
+        ("SELECT * WHERE { ?s ^(^<p>) ?o }", "a1...ak"),
+        ("SELECT * WHERE { ?s ^<p> ?o }", "^a"),
+    ):
+        query = parse_query(text)
+        record = analyze_query_fused(query)
+        assert record["path_buckets"] == [bucket]
+        assert encode_analysis(record) == encode_analysis(
+            analyze_query(query)
+        )
+    assert len(battery._path_memo) == 2
+    clear_battery_memos()
+    assert not battery._path_memo

@@ -13,8 +13,6 @@ Each rendered table must equal its committed copy under
 never rewrite them.
 """
 
-import pathlib
-
 from repro.trees import (
     corpus_statistics,
     corpus_study,
@@ -22,12 +20,7 @@ from repro.trees import (
     random_dtd_corpus,
 )
 
-RESULTS_DIR = pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "results"
-
-
-def assert_matches_committed(name: str, content: str) -> None:
-    committed = (RESULTS_DIR / f"{name}.txt").read_text()
-    assert content + "\n" == committed, f"{name}.txt no longer regenerates"
+from .helpers import assert_matches_committed
 
 
 def test_xml_wellformedness_study():

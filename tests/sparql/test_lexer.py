@@ -10,7 +10,8 @@ import pytest
 
 from repro.errors import SPARQLParseError
 from repro.logs.workload import ALL_PROFILES, generate_source_log
-from repro.sparql.parser import tokenize, tokenize_reference
+from repro.sparql.parser import tokenize
+from repro.testing.reference import tokenize_reference
 
 CORPUS_DIR = Path(__file__).parent.parent / "testing" / "corpus"
 

@@ -29,6 +29,7 @@ from repro.sparql.paths_ast import (
     PathAtom,
     PathInverse,
     PathNegatedSet,
+    PathOptional,
     PathPlus,
     PathSequence,
     PathStar,
@@ -40,6 +41,9 @@ WHERE { ?subj wdt:P31/wdt:P279* wd:Q839954 .
         ?subj wdt:P625 ?coord .
         ?subj rdfs:label ?label FILTER(lang(?label)="en") }
 """
+
+
+S, O = Var("s"), Var("o")
 
 
 class TestQueryForms:
@@ -301,6 +305,73 @@ class TestPropertyPaths:
     def test_grouping(self):
         path = self.path_of("(<p>/<q>)+")
         assert isinstance(path, PathPlus)
+
+
+class TestFastPaths:
+    """A plain IRI predicate skips the path descent and a group reads
+    its current token once; neither may change an AST or an error."""
+
+    @pytest.mark.parametrize(
+        "predicate, expected",
+        [
+            ("<p>", TriplePattern(S, IRI("<p>"), O)),
+            (":p", TriplePattern(S, IRI(":p"), O)),
+            ("a", TriplePattern(S, IRI("rdf:type"), O)),
+            ("<p>*", PathPattern(S, PathStar(PathAtom("<p>")), O)),
+            ("<p>+", PathPattern(S, PathPlus(PathAtom("<p>")), O)),
+            ("<p>?", PathPattern(S, PathOptional(PathAtom("<p>")), O)),
+            (
+                "<p>/<q>",
+                PathPattern(
+                    S, PathSequence((PathAtom("<p>"), PathAtom("<q>"))), O
+                ),
+            ),
+            (
+                "<p>|<q>",
+                PathPattern(
+                    S,
+                    PathAlternative((PathAtom("<p>"), PathAtom("<q>"))),
+                    O,
+                ),
+            ),
+            ("^<p>", PathPattern(S, PathInverse(PathAtom("<p>")), O)),
+        ],
+    )
+    def test_predicate_ast(self, predicate, expected):
+        query = parse_query(f"SELECT * WHERE {{ ?s {predicate} ?o }}")
+        assert query.pattern == expected
+
+    def test_lower_case_group_keywords_dispatch(self):
+        query = parse_query(
+            "SELECT * WHERE { ?s <p> ?o optional { ?o <q> ?x } "
+            "filter(?x) minus { ?s <r> ?o } }"
+        )
+        assert isinstance(query.pattern, Filter)
+        minus = query.pattern.pattern
+        assert isinstance(minus, Minus)
+        assert isinstance(minus.left, OptPattern)
+        assert minus.left.left == TriplePattern(S, IRI("<p>"), O)
+        assert minus.right == TriplePattern(S, IRI("<r>"), O)
+
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            (
+                "SELECT * WHERE { ?s <p> }",
+                "unexpected token '}' (at position 24)",
+                24,
+            ),
+            (
+                "SELECT * WHERE { ?s <p> ?o optional }",
+                "expected '{' (at position 36)",
+                36,
+            ),
+        ],
+    )
+    def test_error_unchanged(self, text, message, position):
+        with pytest.raises(SPARQLParseError) as info:
+            parse_query(text)
+        assert (str(info.value), info.value.position) == (message, position)
 
 
 class TestModifiers:
