@@ -26,7 +26,9 @@ and a v2 response is the version-stamped envelope of
 ``served_from`` (``cache`` | ``engine``) is set for compute operations
 so every answer is traceable to how it was produced; ``code`` is the
 stable identifier of one of the typed
-:class:`~repro.errors.ServiceError` subclasses.
+:class:`~repro.errors.ServiceError` subclasses.  A compute ``result``
+leaves the server as the :class:`EncodedResult` text its worker
+encoded once; the frame is the same JSON either way.
 
 **Removed — version 1**: requests without a ``"v"`` field were the
 pre-typed encoding, accepted alongside v2 for one deprecation release.
@@ -87,11 +89,39 @@ ERROR_TYPES: Dict[str, type] = {
 }
 
 
+class EncodedResult(str):
+    """A result payload already encoded as compact JSON text.
+
+    Compute answers are encoded once, where they are computed; the
+    result cache, single-flight followers and every response share this
+    immutable text, and :func:`encode_frame` splices it into the frame
+    without parsing or re-encoding it."""
+
+    __slots__ = ()
+
+
+def _compact(value: Any) -> str:
+    return json.dumps(value, ensure_ascii=False, separators=(",", ":"))
+
+
+def encode_result(value: Any) -> EncodedResult:
+    """``value`` as the compact JSON text :func:`encode_frame` writes."""
+    return EncodedResult(_compact(value))
+
+
 def encode_frame(message: Dict[str, Any]) -> bytes:
-    """One message as wire bytes (length prefix + compact JSON)."""
-    payload = json.dumps(
-        message, ensure_ascii=False, separators=(",", ":")
-    ).encode("utf-8")
+    """One message as wire bytes (length prefix + compact JSON).  An
+    :class:`EncodedResult` ``result`` is spliced in as it is."""
+    result = message.get("result")
+    if isinstance(result, EncodedResult):
+        head = _compact(
+            {name: value for name, value in message.items() if name != "result"}
+        )
+        separator = "," if len(head) > 2 else ""
+        text = f'{head[:-1]}{separator}"result":{result}}}'
+    else:
+        text = _compact(message)
+    payload = text.encode("utf-8")
     if len(payload) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame of {len(payload)} bytes exceeds the "

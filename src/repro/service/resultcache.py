@@ -19,9 +19,12 @@ one key derivation and cannot drift.
   answers for one expression, and the endpoint name separates the
   namespaces of unrelated operations.
 
-The cache is a bounded LRU.  It stores only JSON-able result payloads
-(never ASTs or live objects), so a cached response is byte-identical to
-the engine response it memoizes.
+The cache is a bounded LRU.  It holds each answer's encoded JSON text
+(:class:`~repro.service.protocol.EncodedResult`, made once on the
+worker that computed it), never ASTs or live lists: a hit is spliced
+into its response frame as it is, so a cached response is
+byte-identical to the engine response it memoizes, and one immutable
+string per entry leaves the garbage collector nothing to traverse.
 """
 
 from __future__ import annotations

@@ -90,6 +90,14 @@ engine execution never observes a half-applied mutation.  Responses
 always carry the request id and — for compute operations —
 ``served_from: cache | engine``.
 
+Each compute answer is encoded to JSON exactly once, on the scheduler
+worker that computed it (:func:`~repro.service.protocol.encode_result`).
+The cache entry, single-flight followers and every response share that
+immutable :class:`~repro.service.protocol.EncodedResult` text: a cache
+hit is spliced into its frame without re-encoding, and
+:class:`EmbeddedService` hands each caller a private decoded copy, so
+no caller can alter what the cache serves next.
+
 Stores may be registered as live :class:`~repro.graphs.rdf.TripleStore`
 objects or as *paths to frozen images* (see
 :mod:`repro.store.mmapstore`), which are opened memory-mapped:
@@ -148,8 +156,10 @@ from .metrics import ServiceMetrics
 from .protocol import (
     MAX_FRAME_BYTES,
     WIRE_VERSION,
+    EncodedResult,
     Request,
     encode_frame,
+    encode_result,
     error_response,
     ok_response,
     read_frame,
@@ -330,7 +340,10 @@ class ServiceCore:
 
     async def handle(self, message: Dict[str, Any]) -> Dict[str, Any]:
         """One request dict in, one response dict out.  Never raises:
-        every failure becomes a typed error response.
+        every failure becomes a typed error response.  A compute
+        answer's ``result`` is its shared
+        :class:`~repro.service.protocol.EncodedResult` text — frame it
+        with :func:`~repro.service.protocol.encode_frame`, or decode it.
 
         Only the typed v2 encoding is accepted (strictly parsed through
         :class:`~repro.service.protocol.Request` — unknown parameters
@@ -430,9 +443,9 @@ class ServiceCore:
 
     async def _compute(
         self, op: str, params: Dict[str, Any], deadline: Opt[float]
-    ) -> Tuple[Any, str]:
+    ) -> Tuple[EncodedResult, str]:
         """Cache lookup -> single-flight scheduled execution -> cache
-        fill.  Returns ``(result payload, served_from)``."""
+        fill.  Returns ``(encoded result payload, served_from)``."""
         endpoint = self.metrics.endpoint(op)
         if op == "rpq":
             key, fn = self._prepare_rpq(params)
@@ -451,11 +464,16 @@ class ServiceCore:
             endpoint.cache_hits += 1
             return payload, "cache"
         endpoint.cache_misses += 1
-        # the cache fill rides on execution completion, not on this
-        # request returning: a computation that outlives its caller's
-        # deadline still pays off for the next asker
+        # the worker encodes the answer, so the cache, followers and
+        # every response share one immutable text.  The cache fill rides
+        # on execution completion, not on this request returning: a
+        # computation that outlives its caller's deadline still pays off
+        # for the next asker
         payload, coalesced = await self.scheduler.run(
-            key, fn, deadline, on_result=lambda p: self.cache.put(key, p)
+            key,
+            lambda: encode_result(fn()),
+            deadline,
+            on_result=lambda p: self.cache.put(key, p),
         )
         if coalesced:
             endpoint.coalesced += 1
@@ -524,7 +542,7 @@ class ServiceCore:
                     )
                 return {
                     "semantics": "walk",
-                    "pairs": sorted(list(pair) for pair in pairs),
+                    "pairs": sorted(pairs),
                     "count": len(pairs),
                 }
 
@@ -910,8 +928,9 @@ class EmbeddedService(RequestAPI):
     :class:`ServiceCore` the TCP server fronts, behind the same caller
     API as :class:`~repro.service.client.ServiceClient` — requests go
     through identical dispatch, admission control, single-flight, and
-    caching, just without a socket.  The instance belongs to the event
-    loop it is first used on."""
+    caching, just without a socket.  Compute results come back decoded,
+    a fresh copy per request, as they would off the wire.  The instance
+    belongs to the event loop it is first used on."""
 
     def __init__(
         self,
@@ -927,7 +946,12 @@ class EmbeddedService(RequestAPI):
     ) -> Dict[str, Any]:
         if message.get("id") is None:
             message = {**message, "id": f"e{next(self._ids)}"}
-        return await self.core.handle(message)
+        response = await self.core.handle(message)
+        result = response.get("result")
+        if isinstance(result, EncodedResult):
+            # decoded per request: no caller's objects alias the cache
+            response["result"] = json.loads(result)
+        return response
 
     async def close(self) -> None:
         self.core.close()

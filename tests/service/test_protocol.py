@@ -14,7 +14,9 @@ from repro.errors import (
     ServiceOverloaded,
 )
 from repro.service.protocol import (
+    MAX_FRAME_BYTES,
     encode_frame,
+    encode_result,
     error_from_response,
     error_response,
     ok_response,
@@ -60,6 +62,46 @@ def test_round_trip_many_frames_back_to_back():
 def test_unicode_payload_survives():
     message = ok_response("u", {"text": "café ≤ ∞ ☃"})
     assert read_all(encode_frame(message)) == [message]
+
+
+RESULTS = [
+    {"semantics": "walk", "pairs": [["a", "c"], ["b", "d"]], "count": 2},
+    {"valid": True, "rows": [{"x": '"café ≤ ∞ ☃"'}], "count": 1},
+    {"valid": False, "record": None, "reason": 'bad "quote" \\ \n'},
+    {},
+    [],
+    "plain text",
+    None,
+]
+
+
+@pytest.mark.parametrize("result", RESULTS)
+def test_spliced_result_decodes_like_the_plain_encoding(result):
+    envelopes = [
+        {**ok_response("r1", None, served_from="cache"), "v": 2},
+        ok_response("r2", None),
+        {},
+    ]
+    for envelope in envelopes:
+        plain = {**envelope, "result": result}
+        spliced = {**envelope, "result": encode_result(result)}
+        text = json.dumps(plain, ensure_ascii=False, separators=(",", ":"))
+        old_frame = struct.pack(">I", len(text.encode())) + text.encode()
+        assert read_all(encode_frame(spliced)) == read_all(old_frame)
+        assert read_all(encode_frame(spliced)) == [plain]
+
+
+def test_a_plain_string_result_is_still_a_json_string():
+    message = ok_response("s", '{"not": "spliced"}')
+    assert read_all(encode_frame(message)) == [message]
+
+
+def test_spliced_result_past_the_frame_bound_is_rejected():
+    # the text alone fits; the envelope around it does not
+    result = encode_result("x" * (MAX_FRAME_BYTES - 2))
+    assert len(result.encode("utf-8")) == MAX_FRAME_BYTES
+    with pytest.raises(ProtocolError, match="exceeds"):
+        encode_frame(ok_response("big", result, served_from="cache"))
 
 
 def test_clean_eof_between_frames_is_none():

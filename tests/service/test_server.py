@@ -12,7 +12,7 @@ from repro.errors import ServiceOverloaded, StoreFrozenError
 from repro.graphs.paths import evaluate_rpq
 from repro.graphs.rdf import TripleStore
 from repro.regex.parser import parse as parse_regex
-from repro.service import ReproServer, ServiceConfig, connect
+from repro.service import EmbeddedService, ReproServer, ServiceConfig, connect
 
 
 def run(coro):
@@ -76,6 +76,85 @@ def test_tcp_round_trip_matches_direct_engine_call():
                 assert result["pairs"] == sorted(
                     list(p) for p in expected
                 )
+
+    run(scenario())
+
+
+def parity_store() -> TripleStore:
+    """Plain names for RPQs, bracketed ones for SPARQL evaluation."""
+    return TripleStore(
+        [
+            *small_store().triples(),
+            ("<a>", "<p>", "<b>"),
+            ("<b>", "<p>", "<c>"),
+            ("<b>", "<name>", '"café ≤ ☃"'),
+        ]
+    )
+
+
+PARITY_REQUESTS = [
+    ("rpq", {"store": "g", "expr": "p p* q?"}),
+    ("rpq", {"store": "g", "expr": "p*", "sources": ["a", "b"]}),
+    (
+        "rpq",
+        {
+            "store": "g",
+            "expr": "p p q",
+            "semantics": "simple",
+            "source": "a",
+            "target": "d",
+        },
+    ),
+    (
+        "rpq",
+        {
+            "store": "g",
+            "expr": "p q",
+            "semantics": "trail",
+            "source": "a",
+            "target": "d",
+        },
+    ),
+    ("query", {"store": "g", "query": "SELECT ?x ?y WHERE { ?x <p>+ ?y }"}),
+    (
+        "query",
+        {"store": "g", "query": 'SELECT ?x WHERE { ?x <name> "café ≤ ☃" }'},
+    ),
+    (
+        "query",
+        {
+            "store": "g",
+            "query": "CONSTRUCT { ?y <n> ?v } WHERE { ?y <name> ?v }",
+        },
+    ),
+    ("sparql", {"query": 'SELECT ?x WHERE { ?x :label "naïve ☃" } LIMIT 3'}),
+    ("log", {"query": "SELECT ?x ?y WHERE { ?x :p/:q* ?y }"}),
+    (
+        "validate",
+        {
+            "rules": {"r": "(a|b)*", "a": "(b?)", "b": ""},
+            "start": ["r"],
+            "document": "<r><a><b/></a><b/></r>",
+        },
+    ),
+]
+
+
+def test_tcp_and_embedded_answers_are_equal_on_engine_and_cache():
+    async def scenario():
+        async with ReproServer(
+            {"g": parity_store()}
+        ) as server, EmbeddedService({"g": parity_store()}) as embedded:
+            host, port = server.address
+            async with await connect(host, port) as client:
+                for served_from in ("engine", "cache"):
+                    for op, params in PARITY_REQUESTS:
+                        wire = await client.request(op, params)
+                        local = await embedded.request(op, params)
+                        assert wire["ok"] and local["ok"], (op, params)
+                        assert wire["served_from"] == served_from
+                        assert local["served_from"] == served_from
+                        assert wire["result"] == local["result"], (op, params)
 
     run(scenario())
 

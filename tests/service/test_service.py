@@ -224,6 +224,40 @@ def test_second_identical_request_is_served_from_cache():
     run(scenario())
 
 
+def test_callers_mutating_a_result_cannot_alter_the_cached_answer():
+    async def scenario():
+        store = TripleStore([("a", "p", "b"), ("b", "p", "c")])
+        async with EmbeddedService({"g": store}) as service:
+            first = await service.request(
+                "rpq", {"store": "g", "expr": "p p"}
+            )
+            first["result"]["pairs"].clear()
+            first["result"]["count"] = 99
+            second = await service.request(
+                "rpq", {"store": "g", "expr": "p p"}
+            )
+            assert second["served_from"] == "cache"
+            assert second["result"]["pairs"] == [["a", "c"]]
+            assert second["result"]["count"] == 1
+
+    run(scenario())
+
+
+def test_callers_mutating_an_analysis_cannot_alter_the_cached_answer():
+    async def scenario():
+        async with EmbeddedService({}) as service:
+            text = "SELECT DISTINCT ?x WHERE { ?x :p ?y } LIMIT 5"
+            analysis = await service.sparql(text)
+            features = list(analysis["features"])
+            assert features
+            analysis["features"].clear()
+            again = await service.request("sparql", {"query": text})
+            assert again["served_from"] == "cache"
+            assert again["result"]["features"] == features
+
+    run(scenario())
+
+
 def test_formatting_noise_shares_a_cache_entry():
     async def scenario():
         async with EmbeddedService({"g": small_store()}) as service:
