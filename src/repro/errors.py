@@ -138,6 +138,12 @@ class ProtocolError(ServiceError):
     code = "protocol_error"
 
 
+class ResponseTooLarge(ServiceError):
+    """The answer was computed, but its frame would exceed the frame bound."""
+
+    code = "response_too_large"
+
+
 class StoreUnavailableError(ServiceError):
     """A registered store could not be opened: the image or shard
     manifest path is missing, unreadable, or corrupt.

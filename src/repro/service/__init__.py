@@ -37,7 +37,7 @@ Public surface:
   :class:`ServiceError`, :class:`ServiceOverloaded`,
   :class:`DeadlineExceeded`, :class:`BadRequest`,
   :class:`ProtocolError`, :class:`StoreFrozenError`,
-  :class:`StoreUnavailableError`, :class:`ShardError`
+  :class:`StoreUnavailableError`, :class:`ShardError`, :class:`ResponseTooLarge`
 
 Run a demo server with ``python -m repro.service --port 7411``
 (add ``--shards 4`` to serve the demo store sharded).
@@ -47,6 +47,7 @@ from ..errors import (
     BadRequest,
     DeadlineExceeded,
     ProtocolError,
+    ResponseTooLarge,
     ServiceError,
     ServiceOverloaded,
     ShardError,
@@ -113,6 +114,7 @@ __all__ = [
     "QueryRequest",
     "QueryResponse",
     "ReproServer",
+    "ResponseTooLarge",
     "Request",
     "RequestAPI",
     "Response",

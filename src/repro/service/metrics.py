@@ -160,6 +160,8 @@ class ServiceMetrics:
         self.connections = 0
         self.disconnects = 0  #: responses dropped on a gone connection
         self.protocol_errors = 0
+        #: answers past the frame bound, sent as ``response_too_large``
+        self.responses_too_large = 0
         #: *rejected* requests in the removed pre-typed (v1) wire
         #: encoding — each one answered with a typed BadRequest carrying
         #: an upgrade hint; a non-zero count means a straggler client
@@ -209,6 +211,7 @@ class ServiceMetrics:
             "connections": self.connections,
             "disconnects": self.disconnects,
             "protocol_errors": self.protocol_errors,
+            "responses_too_large": self.responses_too_large,
             "legacy_requests": self.legacy_requests,
             "scatter_bytes": self.scatter_bytes,
             "gather_bytes": self.gather_bytes,

@@ -56,6 +56,7 @@ from ..errors import (
     BadRequest,
     DeadlineExceeded,
     ProtocolError,
+    ResponseTooLarge,
     ServiceError,
     ServiceOverloaded,
     ShardError,
@@ -82,6 +83,7 @@ ERROR_TYPES: Dict[str, type] = {
         DeadlineExceeded,
         BadRequest,
         ProtocolError,
+        ResponseTooLarge,
         ShardError,
         StoreFrozenError,
         StoreUnavailableError,

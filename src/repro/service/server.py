@@ -123,7 +123,9 @@ from ..errors import (
     DeadlineExceeded,
     DTDParseError,
     JSONParseError,
+    ProtocolError,
     RegexParseError,
+    ResponseTooLarge,
     SchemaError,
     ServiceError,
     ServiceOverloaded,
@@ -1054,8 +1056,14 @@ class ReproServer:
         async def respond(message: Dict[str, Any]) -> None:
             response = await self.core.handle(message)
             try:
+                frame = encode_frame(response)
+            except ProtocolError as exc:  # the answer outgrew the frame bound
+                self.core.metrics.responses_too_large += 1
+                failure = error_response(response.get("id"), ResponseTooLarge.code, str(exc))
+                frame = encode_frame({**failure, "v": WIRE_VERSION})
+            try:
                 async with write_lock:
-                    writer.write(encode_frame(response))
+                    writer.write(frame)
                     await writer.drain()
             except (ConnectionError, RuntimeError, OSError):
                 # peer left before its answer; the work is done and

@@ -52,6 +52,7 @@ from ..regex.determinism import is_deterministic
 from ..sparql.parser import parse_query, tokenize
 from ..sparql.serialize import serialize_query
 from ..trees.automata import (
+    StreamingTreeValidator,
     TreeAutomaton,
     contains_determinize,
     validate_events,
@@ -222,7 +223,10 @@ def _tree_of_events(events: List[Event]) -> Opt[Tree]:
 
 class DTDStreamOracle(Oracle):
     name = "dtd-stream"
-    description = "validate_stream vs DTD.validate on the event's tree"
+    description = (
+        "validate_stream vs DTD.validate on the event's tree and vs the "
+        "NFTA run on a freshly compiled automaton"
+    )
 
     def generate(self, rng: random.Random) -> Dict[str, Any]:
         rules, start = random_dtd_rules(rng)
@@ -245,6 +249,12 @@ class DTDStreamOracle(Oracle):
             return (
                 f"stream/in-memory divergence: streaming={streaming} "
                 f"in-memory={reference}"
+            )
+        fresh = validate_events(TreeAutomaton.from_dtd(dtd), events)
+        if streaming != fresh:
+            return (
+                f"validate_stream={streaming} but a freshly compiled "
+                f"automaton says {fresh}"
             )
         return None
 
@@ -1221,11 +1231,19 @@ def _edtd_of(spec: Dict[str, Any]) -> Opt[EDTD]:
         return None  # malformed rule text is outside the oracle
 
 
+def _stream_run(automaton: TreeAutomaton, events) -> Tuple[bool, int, int]:
+    """(verdict, max_stack_depth, max_tracked_cells) of one streaming run."""
+    validator = StreamingTreeValidator(automaton)
+    all(map(validator.feed, events))
+    return validator.finish(), validator.max_stack_depth, validator.max_tracked_cells
+
+
 class TreeAutomataOracle(Oracle):
     name = "tree-automata"
     description = (
-        "streaming NFTA run vs EDTD.validate; antichain inclusion vs "
-        "determinize-and-product and small-tree enumeration"
+        "streaming NFTA run (cold, then warm table) vs EDTD.validate; "
+        "antichain inclusion vs determinize-and-product and small-tree "
+        "enumeration"
     )
 
     def generate(self, rng: random.Random) -> Dict[str, Any]:
@@ -1266,7 +1284,11 @@ class TreeAutomataOracle(Oracle):
             return None
         events = [tuple(e) for e in case["events"]]
         automaton = TreeAutomaton.from_edtd(edtd)
-        streaming = validate_events(automaton, events)
+        cold = _stream_run(automaton, events)
+        warm = _stream_run(automaton, events)
+        if warm != cold:
+            return f"a warm table changed the run: cold={cold} warm={warm}"
+        streaming = cold[0]
         tree = _tree_of_events(events)
         reference = tree is not None and edtd.validate(tree)
         if streaming != reference:

@@ -26,13 +26,13 @@ expressions:
 * **Streaming runs** (:class:`StreamingTreeValidator`) execute the
   automaton in a single pass over ``("start", label)`` /
   ``("end", label)`` event streams, keeping one frame per *open*
-  element — a map from candidate state to the subset of its horizontal
+  element — for each candidate state, the subset of its horizontal
   (content-model) NFA states reachable on the children seen so far.
   Memory is bounded by document depth × frame width, never by document
-  size, which generalizes
-  :class:`~repro.trees.streaming.StreamingDTDValidator` (a DTD compiles
-  to one candidate per label, i.e. exactly that validator's frames) to
-  arbitrary recursive, non-single-type schemas.
+  size, for arbitrary recursive, non-single-type schemas and for DTDs.
+  A lazily determinized table (:class:`_Table`) makes each child one
+  memoized lookup per parent candidate; real content models are almost
+  all deterministic (arXiv 1805.12503), so it stays small.
 
 States are integers; ``names[q]`` is the state's unique name (the DTD
 label or EDTD type it came from) and doubles as the letter the
@@ -42,9 +42,10 @@ from :mod:`repro.regex.automata` is reused unchanged.
 
 from __future__ import annotations
 
+import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..errors import MalformedStreamError, SchemaError, ValidationError
 from ..regex.automata import EPS, NFA, glushkov
@@ -63,6 +64,12 @@ __all__ = [
     "validate_events",
     "validate_events_or_raise",
 ]
+
+
+#: Bound on the memoized entries of one automaton's horizontal table
+#: (:class:`_Table`); each interns at most one cell per candidate.
+_TABLE_LIMIT = 1 << 16
+_TABLE_LOCK = threading.Lock()  #: held while any table fills a miss
 
 
 class _Counterexample(Exception):
@@ -111,6 +118,7 @@ class TreeAutomaton:
         self._finals: Tuple[FrozenSet[int], ...] = tuple(
             frozenset(nfa.finals) for nfa in self.horizontals
         )
+        self._table: Optional[_Table] = None
 
     # ------------------------------------------------------------------
     # Compilation
@@ -160,50 +168,22 @@ class TreeAutomaton:
         }
 
     # ------------------------------------------------------------------
-    # Tree runs (the non-streaming reference semantics)
+    # Tree runs
     # ------------------------------------------------------------------
-
-    def reach(self, node) -> FrozenSet[int]:
-        """All states this automaton can assign to ``node`` (iterative
-        post-order, so recursion depth never limits document depth)."""
-        # stack of (node, child reach-sets collected so far)
-        stack: List[Tuple[object, List[FrozenSet[int]]]] = [(node, [])]
-        result: FrozenSet[int] = frozenset()
-        while stack:
-            current, collected = stack[-1]
-            if len(collected) < len(current.children):
-                stack.append((current.children[len(collected)], []))
-                continue
-            stack.pop()
-            states = self._reach_of(current.label, collected)
-            if stack:
-                stack[-1][1].append(states)
-            else:
-                result = states
-        return result
-
-    def _reach_of(
-        self, label: str, child_reaches: Sequence[FrozenSet[int]]
-    ) -> FrozenSet[int]:
-        out = set()
-        for q in self.states_for_label(label):
-            nfa = self.horizontals[q]
-            states = self._inits[q]
-            for child_states in child_reaches:
-                nxt: FrozenSet[int] = frozenset()
-                for qc in child_states:
-                    nxt |= nfa.step(states, self.names[qc])
-                states = nxt
-                if not states:
-                    break
-            if states & self._finals[q]:
-                out.add(q)
-        return frozenset(out)
 
     def validate(self, tree: Tree) -> bool:
         """Does the automaton accept ``tree``?  Matches ``EDTD.validate``
-        on automata compiled with :meth:`from_edtd`."""
-        return bool(self.reach(tree.root) & self.roots)
+        on automata compiled with :meth:`from_edtd`.  Runs the streaming
+        validator over the tree's events: one stepping path for both."""
+        return validate_events(self, tree.root.events())
+
+    def _current_table(self, full: Optional["_Table"] = None) -> "_Table":
+        """The table, built on first use; a ``full`` one is replaced, never
+        cleared, so runs holding it keep valid cell ids (two threads
+        replacing it at once is harmless: each run keeps its own)."""
+        if self._table is None or self._table is full:
+            self._table = _Table(self)
+        return self._table
 
     # ------------------------------------------------------------------
     # Emptiness, universality, inclusion
@@ -720,8 +700,66 @@ def _determinize_full(aut: TreeAutomaton):
 
 
 # ----------------------------------------------------------------------
-# Streaming execution
+# Horizontal table and streaming execution
 # ----------------------------------------------------------------------
+
+
+class _Table:
+    """The horizontal runs of one automaton, determinized lazily.
+
+    A *cell* is an integer naming one (candidate state ``q``, subset of
+    ``q``'s horizontal NFA states), with its ``q``, size and finality.
+    Memoized: ``starts[label]`` (initial cells, total size),
+    ``steps[(cell, reach)]`` (the cell after a child typed by some state
+    of ``reach``, -1 if none survives) and ``admits[(cell, label)]``
+    (does any candidate of ``label`` step the cell).  Hits are plain dict
+    reads, so threads share a table; misses fill it under a lock.  An
+    event misses at most ``widest + 1`` times, so a run that moves to a
+    fresh table once ``entries`` passes ``room`` keeps it in bounds.
+    """
+
+    def __init__(self, aut: TreeAutomaton):
+        self.aut = aut
+        self.ids: Dict[Tuple[int, FrozenSet[int]], int] = {}
+        self.keys, self.states, self.sizes, self.finals = [], [], [], []
+        self.starts, self.steps, self.admits = {}, {}, {}
+        self.entries = 0
+        self.room = _TABLE_LIMIT - 1 - max(map(len, aut._by_label.values()), default=0)
+
+    def cell(self, q: int, subset: FrozenSet[int]) -> int:
+        key = (q, subset)
+        with _TABLE_LOCK:
+            cid = self.ids.get(key)
+            if cid is None:
+                cid = self.ids[key] = len(self.keys)
+                self.keys.append(key)
+                self.states.append(q)
+                self.sizes.append(len(subset))
+                self.finals.append(bool(subset & self.aut._finals[q]))
+        return cid
+
+    def _put(self, memo: Dict, key, value):
+        with _TABLE_LOCK:
+            self.entries += 1
+            memo[key] = value
+        return value
+
+    def start(self, label: str) -> Tuple[Tuple[int, ...], int]:
+        aut = self.aut
+        cells = tuple(self.cell(q, aut._inits[q]) for q in aut.states_for_label(label))
+        return self._put(self.starts, label, (cells, sum(self.sizes[c] for c in cells)))
+
+    def step(self, cid: int, reach: Tuple[int, ...]) -> int:
+        q, subset = self.keys[cid]
+        nfa, names = self.aut.horizontals[q], self.aut.names
+        nxt = frozenset().union(*(nfa.step(subset, names[qc]) for qc in reach))
+        return self._put(self.steps, (cid, reach), self.cell(q, nxt) if nxt else -1)
+
+    def admit(self, cid: int, label: str) -> bool:
+        q, subset = self.keys[cid]
+        nfa, names = self.aut.horizontals[q], self.aut.names
+        ok = any(nfa.step(subset, names[qc]) for qc in self.aut.states_for_label(label))
+        return self._put(self.admits, (cid, label), ok)
 
 
 @dataclass
@@ -729,10 +767,10 @@ class StreamingTreeValidator:
     """Single-pass NFTA run over ``("start"|"end"|"text", payload)``
     events.
 
-    One frame per open element maps each still-live candidate state to
-    the subset of its horizontal NFA reached on the children closed so
-    far; dead candidates are dropped immediately, so a frame is the
-    antichain of runs that can still complete.  Peak memory is
+    One frame per open element holds a table cell (:class:`_Table`) for
+    each still-live candidate state; dead candidates are dropped at once,
+    so a frame is the antichain of runs that can still complete.  A start
+    event rejects a child no parent cell admits at once.  Peak memory is
     ``max_stack_depth`` frames of at most ``max_tracked_cells`` total
     automaton states — bounded by document *depth*, never length.
 
@@ -747,12 +785,17 @@ class StreamingTreeValidator:
     automaton: TreeAutomaton
     max_stack_depth: int = 0
     max_tracked_cells: int = 0
-    _stack: List[Tuple[str, Dict[int, FrozenSet[int]]]] = field(default_factory=list)
+    #: open frames: (label, cells, total subset size)
+    _stack: List[Tuple[str, Tuple[int, ...], int]] = field(default_factory=list)
+    _table: Optional[_Table] = None
     _cells: int = 0
     _done: bool = False
     _accepted: bool = False
     _failed: Optional[str] = None
     _malformed: bool = False
+
+    def __post_init__(self):
+        self._table = self.automaton._current_table()
 
     @property
     def failure(self) -> Optional[str]:
@@ -783,65 +826,90 @@ class StreamingTreeValidator:
             return self._fail_malformed(f"malformed event {event!r}")
         if kind == "text":
             return True
-        aut = self.automaton
+        table = self._table
+        if table.entries > table.room:
+            table = self._migrate()
+        stack = self._stack
         if kind == "start":
-            if not self._stack and self._done:
+            if stack:
+                parent_label, parent, _ = stack[-1]
+                admits = table.admits
+                for cid in parent:
+                    ok = admits.get((cid, payload))
+                    if ok is None:
+                        ok = table.admit(cid, payload)
+                    if ok:
+                        break
+                else:
+                    return self._fail(
+                        f"child {payload!r} not allowed here under {parent_label!r}"
+                    )
+            elif self._done:
                 return self._fail_malformed("second root element in stream")
-            frame = {q: aut._inits[q] for q in aut.states_for_label(payload)}
-            if not frame:
+            cells, size = table.starts.get(payload) or table.start(payload)
+            if not cells:
                 return self._fail(f"no schema type admits element {payload!r}")
-            self._stack.append((payload, frame))
-            if len(self._stack) > self.max_stack_depth:
-                self.max_stack_depth = len(self._stack)
-            self._cells += sum(len(states) for states in frame.values())
+            if not stack and not any(
+                table.states[cid] in self.automaton.roots for cid in cells
+            ):
+                return self._fail(f"root element {payload!r} admits no start type")
+            stack.append((payload, cells, size))
+            if len(stack) > self.max_stack_depth:
+                self.max_stack_depth = len(stack)
+            self._cells += size
             if self._cells > self.max_tracked_cells:
                 self.max_tracked_cells = self._cells
             return True
         if kind == "end":
-            if not self._stack:
+            if not stack:
                 return self._fail_malformed(f"unbalanced end event {payload!r}")
-            label, frame = self._stack[-1]
+            label, frame, size = stack.pop()
             if label != payload:
                 return self._fail_malformed(
                     f"end event {payload!r} does not close open element {label!r}"
                 )
-            self._stack.pop()
-            self._cells -= sum(len(states) for states in frame.values())
-            reach = [
-                q for q, states in frame.items() if states & aut._finals[q]
-            ]
-            if not self._stack:
+            self._cells -= size
+            finals, states = table.finals, table.states
+            reach = tuple([states[cid] for cid in frame if finals[cid]])
+            if not stack:
                 self._done = True
-                if not any(q in aut.roots for q in reach):
+                if not any(q in self.automaton.roots for q in reach):
                     return self._fail("root element admits no start type")
                 self._accepted = True
                 return True
             if not reach:
                 return self._fail(f"children of {payload!r} admit no type")
-            letters = [aut.names[q] for q in reach]
-            parent_label, parent = self._stack[-1]
-            before = sum(len(states) for states in parent.values())
-            dead = []
-            for p, states in parent.items():
-                nfa = aut.horizontals[p]
-                nxt: FrozenSet[int] = frozenset()
-                for letter in letters:
-                    nxt |= nfa.step(states, letter)
-                if nxt:
-                    parent[p] = nxt
-                else:
-                    dead.append(p)
-            for p in dead:
-                del parent[p]
-            if not parent:
+            parent_label, parent, before = stack[-1]
+            steps, sizes = table.steps, table.sizes
+            cells = []
+            after = 0
+            for cid in parent:
+                to = steps.get((cid, reach))
+                if to is None:
+                    to = table.step(cid, reach)
+                if to >= 0:
+                    cells.append(to)
+                    after += sizes[to]
+            if not cells:
                 return self._fail(
                     f"element {payload!r} is not allowed under {parent_label!r} here"
                 )
-            self._cells += sum(len(states) for states in parent.values()) - before
+            stack[-1] = (parent_label, tuple(cells), after)
+            self._cells += after - before
             if self._cells > self.max_tracked_cells:
                 self.max_tracked_cells = self._cells
             return True
         return self._fail_malformed(f"unknown event kind {kind!r}")
+
+    def _migrate(self) -> _Table:
+        """Move the open frames to the automaton's fresh table."""
+        old = self._table
+        new = self._table = self.automaton._current_table(old)
+        self._stack = [
+            (label, tuple(new.cell(*old.keys[c]) for c in frame), size)
+            for label, frame, size in self._stack
+        ]
+        return new
 
     def finish(self) -> bool:
         """True iff the whole stream formed exactly one valid document."""
@@ -857,10 +925,7 @@ def validate_events(schema, events) -> bool:
     """Validate an event stream against any schema (or a pre-compiled
     :class:`TreeAutomaton`) in a single pass."""
     validator = StreamingTreeValidator(compile_schema(schema))
-    for event in events:
-        if not validator.feed(event):
-            return False
-    return validator.finish()
+    return all(map(validator.feed, events)) and validator.finish()
 
 
 def validate_events_or_raise(schema, events) -> StreamingTreeValidator:
@@ -869,9 +934,7 @@ def validate_events_or_raise(schema, events) -> StreamingTreeValidator:
     :class:`~repro.errors.ValidationError` for schema violations;
     returns the validator (with its high-water metrics) on success."""
     validator = StreamingTreeValidator(compile_schema(schema))
-    for event in events:
-        if not validator.feed(event):
-            break
+    all(map(validator.feed, events))
     if validator.finish():
         return validator
     if validator.failure is None:

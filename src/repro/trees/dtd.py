@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re as _re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional as Opt, Set, Tuple
 
 from ..errors import DTDParseError, SchemaError, ValidationError
@@ -87,6 +88,13 @@ class DTD:
     def expression_for(self, label: str) -> Regex:
         """ρ(label); labels without an explicit rule map to ε."""
         return self.rules.get(label, EPSILON)
+
+    @cached_property
+    def tree_automaton(self):
+        """This DTD as a ``TreeAutomaton``, compiled once (on first use)."""
+        from .automata import TreeAutomaton
+
+        return TreeAutomaton.from_dtd(self)
 
     # -- validation (Definition 4.1) --------------------------------------------
 

@@ -2,8 +2,8 @@
 
 Section 4.1 discusses streaming validation: non-recursive DTDs are
 precisely those admitting constant-memory streaming validation of
-well-formed input (Segoufin & Vianu).  This module implements the
-stack-of-automata validator whose memory is bounded by
+well-formed input (Segoufin & Vianu).  This module exposes the
+stack-of-automata validator for DTDs, whose memory is bounded by
 
     (maximum document depth) × (largest content-model automaton),
 
@@ -14,22 +14,25 @@ so the bench/tests can demonstrate the bound.
 Events are ``("start", label)`` / ``("end", label)`` pairs; text events
 are ignored by the structural abstraction.
 
-Arbitrary (recursive, non-single-type) schemas stream through the
-generalized NFTA validator in :mod:`repro.trees.automata`, for which
-:class:`StreamingDTDValidator` is the one-candidate-per-label special
-case.  :func:`events_of` feeds either validator straight from chunked
-file-like XML/JSON input without materializing a tree.
+There is one streaming engine, the NFTA validator of
+:mod:`repro.trees.automata`, which also runs arbitrary (recursive,
+non-single-type) schemas: :class:`StreamingDTDValidator`,
+:func:`validate_stream` and :func:`validate_stream_or_raise` run it on
+the DTD's tree automaton (one candidate per label), compiled once per
+:class:`~repro.trees.dtd.DTD`.  A misplaced child fails at its start
+event, a non-start root label at the root's start event.
+:func:`events_of` feeds the validator straight from chunked file-like
+XML/JSON input without materializing a tree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional as Opt, Tuple
+from typing import Iterable, Iterator, Optional as Opt, Tuple
 
 from ..errors import ValidationError
-from ..regex.automata import NFA, glushkov
+from .automata import StreamingTreeValidator, validate_events
 from .dtd import DTD
-from .tree import Tree, TreeNode
+from .tree import Tree
 
 Event = Tuple[str, str]
 
@@ -74,118 +77,28 @@ def events_of(
 
 
 def _tree_events(tree: Tree) -> Iterator[Event]:
-    def emit(node: TreeNode) -> Iterator[Event]:
-        yield ("start", node.label)
-        for child in node.children:
-            yield from emit(child)
-        yield ("end", node.label)
-
-    return emit(tree.root)
+    return tree.root.events()
 
 
-@dataclass
-class StreamingDTDValidator:
-    """Incremental validator; feed events, then call :meth:`finish`.
+class StreamingDTDValidator(StreamingTreeValidator):
+    """The NFTA run on ``dtd``'s tree automaton (compiled once per DTD);
+    feed events, then call :meth:`finish`.  ``max_stack_depth`` is the
+    high-water mark of the frame stack — the validator's memory
+    footprint, constant for non-recursive DTDs."""
 
-    Attributes
-    ----------
-    dtd:
-        The DTD to validate against.
-    max_stack_depth:
-        High-water mark of the automaton stack — the validator's memory
-        footprint, constant for non-recursive DTDs.
-    """
-
-    dtd: DTD
-    max_stack_depth: int = 0
-    _automata: Dict[str, NFA] = field(default_factory=dict)
-    _stack: List[Tuple[str, FrozenSet[int]]] = field(default_factory=list)
-    _done: bool = False
-    _failed: Opt[str] = None
-
-    def _automaton(self, label: str) -> NFA:
-        if label not in self._automata:
-            self._automata[label] = glushkov(self.dtd.expression_for(label))
-        return self._automata[label]
-
-    def feed(self, event: Event) -> bool:
-        """Process one event; returns False once the stream is invalid."""
-        if self._failed:
-            return False
-        kind, label = event
-        if kind == "start":
-            if not self._stack:
-                if self._done:
-                    self._failed = "second root element"
-                    return False
-                if label not in self.dtd.start_labels:
-                    self._failed = f"root {label!r} is not a start label"
-                    return False
-            else:
-                parent_label, states = self._stack[-1]
-                nfa = self._automaton(parent_label)
-                nxt = nfa.step(states, label)
-                if not nxt:
-                    self._failed = (
-                        f"child {label!r} not allowed here under "
-                        f"{parent_label!r}"
-                    )
-                    return False
-                self._stack[-1] = (parent_label, nxt)
-            own = self._automaton(label)
-            self._stack.append(
-                (label, own.epsilon_closure(own.initial))
-            )
-            self.max_stack_depth = max(self.max_stack_depth, len(self._stack))
-            return True
-        if kind == "text":
-            # The structural abstraction ignores character data, so text
-            # events never change validator state (they may appear anywhere,
-            # even outside the root, mirroring ignorable whitespace).
-            return True
-        if kind == "end":
-            if not self._stack or self._stack[-1][0] != label:
-                self._failed = f"unbalanced end event for {label!r}"
-                return False
-            own_label, states = self._stack.pop()
-            nfa = self._automaton(own_label)
-            if not states & nfa.finals:
-                self._failed = (
-                    f"element {own_label!r} ended with incomplete content"
-                )
-                return False
-            if not self._stack:
-                self._done = True
-            return True
-        self._failed = f"unknown event kind {kind!r}"
-        return False
-
-    def finish(self) -> bool:
-        """Whether the consumed stream was a valid document."""
-        if self._failed:
-            return False
-        return self._done and not self._stack
-
-    @property
-    def failure(self) -> Opt[str]:
-        return self._failed
+    def __init__(self, dtd: DTD):
+        super().__init__(dtd.tree_automaton)
+        self.dtd = dtd
 
 
 def validate_stream(dtd: DTD, events: Iterable[Event]) -> bool:
     """Validate an event stream in one pass."""
-    validator = StreamingDTDValidator(dtd)
-    for event in events:
-        if not validator.feed(event):
-            return False
-    return validator.finish()
+    return validate_events(dtd.tree_automaton, events)
 
 
 def validate_stream_or_raise(dtd: DTD, events: Iterable[Event]) -> None:
     validator = StreamingDTDValidator(dtd)
-    for event in events:
-        if not validator.feed(event):
-            raise ValidationError(validator.failure or "invalid stream")
-    if not validator.finish():
+    if not (all(map(validator.feed, events)) and validator.finish()):
         raise ValidationError(validator.failure or "premature end of stream")
 
 

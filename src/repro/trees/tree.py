@@ -62,6 +62,18 @@ class TreeNode:
             yield node
             stack.extend(reversed(node.children))
 
+    def events(self) -> Iterator[Tuple[str, str]]:
+        """The subtree's ``("start"|"end", label)`` events in document
+        order (iterative, so recursion never limits the depth)."""
+        stack: List[object] = [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, str):
+                yield ("end", node)
+            else:
+                yield ("start", node.label)
+                stack += (node.label, *reversed(node.children))
+
     def walk_with_depth(self) -> Iterator[Tuple["TreeNode", int]]:
         stack = [(self, 1)]
         while stack:

@@ -8,7 +8,7 @@ import threading
 
 import pytest
 
-from repro.errors import ServiceOverloaded, StoreFrozenError
+from repro.errors import ResponseTooLarge, ServiceOverloaded, StoreFrozenError
 from repro.graphs.paths import evaluate_rpq
 from repro.graphs.rdf import TripleStore
 from repro.regex.parser import parse as parse_regex
@@ -333,6 +333,27 @@ def test_oversized_frame_is_rejected_as_protocol_error():
             async with await connect(host, port) as client:
                 stats = await client.stats()
                 assert stats["metrics"]["protocol_errors"] == 1
+
+    run(scenario())
+
+
+def test_answer_past_the_frame_bound_gets_a_typed_error(monkeypatch):
+    from repro.service import protocol
+
+    chain = TripleStore([(f"n{i}", "p", f"n{i + 1}") for i in range(40)])
+    # p* over the chain answers 861 pairs, far past the lowered bound
+    monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 2000)
+
+    async def scenario():
+        async with ReproServer({"g": chain}) as server:
+            async with await connect(*server.address) as client:
+                with pytest.raises(ResponseTooLarge):
+                    await asyncio.wait_for(client.rpq("g", "p*"), 5.0)
+                # the connection still serves the next request
+                assert (await client.rpq("g", "p p"))["count"] == 39
+                stats = await client.stats()
+                assert stats["metrics"]["responses_too_large"] == 1
+                assert stats["metrics"]["protocol_errors"] == 0
 
     run(scenario())
 
