@@ -57,15 +57,21 @@ _ACC_BITS = 256
 _ACC_MASK = (1 << _ACC_BITS) - 1
 
 
+#: the canonical item serialization, built once: ``json.dumps`` with
+#: these options would construct an encoder on every call, and
+#: :func:`item_digest` runs once per triple added to a store
+_ITEM_ENCODER = json.JSONEncoder(
+    sort_keys=True, ensure_ascii=False, separators=(",", ":")
+)
+
+
 def item_digest(payload: Any) -> int:
     """The 256-bit digest of one JSON-able item, as an integer.
 
     Serialization follows the :func:`payload_fingerprint` discipline
     (canonical JSON, sorted keys) so the two derivations cannot drift.
     """
-    blob = json.dumps(
-        payload, sort_keys=True, ensure_ascii=False, separators=(",", ":")
-    ).encode("utf-8")
+    blob = _ITEM_ENCODER.encode(payload).encode("utf-8")
     return int.from_bytes(hashlib.sha256(blob).digest(), "big")
 
 

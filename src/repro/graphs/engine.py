@@ -44,7 +44,7 @@ from __future__ import annotations
 import threading
 import weakref
 from collections import OrderedDict, deque
-from typing import Any, Dict, Iterable, List, Optional as Opt, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional as Opt, Set, Tuple
 
 from ..regex.ast import (
     Concat,
@@ -66,6 +66,15 @@ _DFA_STATE_LIMIT = 24
 _DFA_BLOWUP_LIMIT = 512
 #: Bound on the per-plan (label, state-set) -> state-set step memo.
 _STEP_MEMO_LIMIT = 8192
+
+
+def predicates_read(labels: Iterable[str]) -> FrozenSet[str]:
+    """The store predicates RPQ atoms read: an inverse atom ``^p`` walks
+    ``p``'s edges backwards, so it reads ``p``."""
+    return frozenset(
+        label[1:] if label.startswith("^") else label for label in labels
+    )
+
 
 def ast_key(expr: Regex) -> Tuple:
     """A stable structural key for an expression.

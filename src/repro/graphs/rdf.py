@@ -31,6 +31,21 @@ from ..core.hashing import accumulate, accumulator_hex, item_digest
 Triple = Tuple[str, str, str]
 
 
+def _render_fingerprint(accumulator: int, size: int) -> str:
+    return f"c{accumulator_hex(accumulator, size)}-t{size:x}"
+
+
+def combine_content(contents: Iterable[Tuple[int, int]]) -> str:
+    """The fingerprint of the union of disjoint triple sets, each given
+    as its ``(accumulator, triple count)`` — how per-predicate contents,
+    wherever they are held, combine into a scoped fingerprint."""
+    acc = size = 0
+    for p_acc, p_size in contents:
+        acc = accumulate(acc, p_acc)
+        size += p_size
+    return _render_fingerprint(acc, size)
+
+
 class TripleStore:
     """An in-memory RDF store with SPO / POS / OSP indexes.
 
@@ -63,8 +78,11 @@ class TripleStore:
         self._bwd: List[Dict[int, List[int]]] = []
         self._version = 0
         # order-independent content accumulator (sum of per-triple
-        # digests): fingerprint() derives from it in O(1)
+        # digests): fingerprint() derives from it in O(1); the same
+        # digests summed per predicate give (accumulator, triple count)
+        # of each predicate's sub-store, for fingerprint(predicates)
         self._content_acc = 0
+        self._pred_content: Dict[str, Tuple[int, int]] = {}
         # memoized frozensets handed out by successors()/predecessors()
         self._succ_cache: Dict[Tuple[str, str], FrozenSet[str]] = {}
         self._pred_cache: Dict[Tuple[str, str], FrozenSet[str]] = {}
@@ -103,9 +121,10 @@ class TripleStore:
         self._fwd[pid].setdefault(sid, []).append(oid)
         self._bwd[pid].setdefault(oid, []).append(sid)
         self._version += 1
-        self._content_acc = accumulate(
-            self._content_acc, item_digest([s, p, o])
-        )
+        digest = item_digest([s, p, o])
+        self._content_acc = accumulate(self._content_acc, digest)
+        acc, count = self._pred_content.get(p, (0, 0))
+        self._pred_content[p] = (accumulate(acc, digest), count + 1)
         self._succ_cache.pop((s, p), None)
         self._pred_cache.pop((o, p), None)
         return True
@@ -211,23 +230,37 @@ class TripleStore:
         """Monotone mutation counter (bumped on every successful add)."""
         return self._version
 
-    def fingerprint(self) -> str:
-        """The persistent content fingerprint of the store's data.
+    def fingerprint(self, predicates: Opt[Iterable[str]] = None) -> str:
+        """The persistent content fingerprint of the store's data, or of
+        the sub-store of its ``predicates`` triples.
 
-        Derived in O(1) from an incrementally maintained accumulator
-        (sum of per-triple SHA-256 digests, see
-        :mod:`repro.core.hashing`), so it is *order-independent* and
-        *portable*: two stores holding the same triples report the same
-        fingerprint regardless of insertion order, process, or machine,
-        and a :class:`~repro.store.mmapstore.MappedTripleStore` opened
-        from an image reports the fingerprint of the store that was
-        frozen.  Any successful :meth:`add` changes it (up to SHA-256
-        collisions), so result caches keyed on it are invalidated by
-        mutation exactly as they were under the old session counter —
-        but now the keys also survive restarts and agree across
-        processes.
+        Derived from incrementally maintained accumulators (sums of
+        per-triple SHA-256 digests, see :mod:`repro.core.hashing`), so it
+        is *order-independent* and *portable*: two stores holding the
+        same triples report the same fingerprint regardless of insertion
+        order, process, or machine, and a
+        :class:`~repro.store.mmapstore.MappedTripleStore` opened from an
+        image reports the fingerprint of the store that was frozen.
+
+        With ``predicates`` the fingerprint is that of the store
+        restricted to those predicates (absent ones contribute nothing),
+        built from per-predicate sums of the same digests — so for the
+        full predicate set it equals ``fingerprint()``, and it changes
+        exactly when a triple over one of ``predicates`` is added.  An
+        answer that reads only those predicates can be cached under it
+        and survive writes to every other predicate.  Any successful
+        :meth:`add` changes the whole-store fingerprint (up to SHA-256
+        collisions); stores only grow, so no fingerprint ever recurs.
         """
-        return f"c{accumulator_hex(self._content_acc, self._size)}-t{self._size:x}"
+        if predicates is None:
+            return _render_fingerprint(self._content_acc, self._size)
+        return combine_content(
+            self._predicate_content(predicate) for predicate in set(predicates)
+        )
+
+    def _predicate_content(self, predicate: str) -> Tuple[int, int]:
+        """``(accumulator, triple count)`` of one predicate's triples."""
+        return self._pred_content.get(predicate, (0, 0))
 
     def save(self, path) -> str:
         """Freeze the store into an on-disk mmap image (see

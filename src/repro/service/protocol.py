@@ -106,9 +106,30 @@ def _compact(value: Any) -> str:
     return json.dumps(value, ensure_ascii=False, separators=(",", ":"))
 
 
+#: bytes a compute result leaves free in its frame for the response
+#: envelope (id, ok, served_from, version stamp)
+RESULT_ENVELOPE_BYTES = 1024
+
+
 def encode_result(value: Any) -> EncodedResult:
-    """``value`` as the compact JSON text :func:`encode_frame` writes."""
-    return EncodedResult(_compact(value))
+    """``value`` as the compact JSON text :func:`encode_frame` writes.
+
+    Raises :class:`~repro.errors.ResponseTooLarge` for a text that
+    cannot fit a response frame under the current
+    :data:`MAX_FRAME_BYTES` — checked where the answer is made, so no
+    caller caches or ships it."""
+    result = EncodedResult(_compact(value))
+    limit = MAX_FRAME_BYTES - RESULT_ENVELOPE_BYTES
+    # UTF-8 spends at most 4 bytes per character: only a long text pays
+    # for the exact count
+    if len(result) * 4 > limit:
+        size = len(result.encode("utf-8"))
+        if size > limit:
+            raise ResponseTooLarge(
+                f"answer of {size} bytes leaves no room for its response "
+                f"envelope under the {MAX_FRAME_BYTES}-byte frame bound"
+            )
+    return result
 
 
 def encode_frame(message: Dict[str, Any]) -> bytes:

@@ -78,10 +78,20 @@ Caching and consistency
 Compute results are cached under ``(endpoint, store fingerprint,
 canonical text, semantics)``.  The store fingerprint is a persistent
 *content* digest (order-independent, identical across processes — see
-:meth:`~repro.graphs.rdf.TripleStore.fingerprint`): a mutation
-invalidates by *changing the key* of every later identical request, so
-entries computed against superseded data can never be addressed again
-and age out of the LRU — and because the fingerprint is derived from
+:meth:`~repro.graphs.rdf.TripleStore.fingerprint`) scoped to what the
+answer reads: an ``rpq`` answer reads only its expression's predicates
+(``^p`` reads ``p``) and is keyed by the fingerprint of that sub-store;
+a ``query``, and a nullable walk without ``sources`` (whose diagonal
+covers every node), may read anything and are keyed by the whole-store
+fingerprint.  A mutation invalidates by *changing the key* of every
+later identical request over a scope it added triples to — entries
+computed against superseded data can never be addressed again — while
+answers over untouched predicates keep their keys and stay hits.  After
+a write, :meth:`ResultCache.drop <.resultcache.ResultCache.drop>`
+removes the entries it made unreachable, so they free their slots at
+once instead of evicting live answers; the key alone guarantees
+freshness, so a read racing the write cannot be served stale whichever
+side of the drop it lands on.  Because the fingerprint is derived from
 content rather than a session counter, a service restarted over the
 same data (in particular, over a memory-mapped store image) addresses
 exactly the keys its predecessor populated.  Store reads run under a
@@ -91,7 +101,9 @@ always carry the request id and — for compute operations —
 ``served_from: cache | engine``.
 
 Each compute answer is encoded to JSON exactly once, on the scheduler
-worker that computed it (:func:`~repro.service.protocol.encode_result`).
+worker that computed it (:func:`~repro.service.protocol.encode_result`);
+an answer too large for a response frame fails there with the typed
+``response_too_large`` error on every front end, and is never cached.
 The cache entry, single-flight followers and every response share that
 immutable :class:`~repro.service.protocol.EncodedResult` text: a cache
 hit is spliced into its frame without re-encoding, and
@@ -136,7 +148,7 @@ from ..errors import (
     UnsupportedFeatureError,
     XMLParseError,
 )
-from ..graphs.engine import ast_key
+from ..graphs.engine import ast_key, predicates_read
 from ..graphs.paths import evaluate_rpq, exists_simple_path, exists_trail
 from ..graphs.rdf import TripleStore
 from ..logs.analyzer import encode_analysis, encode_report
@@ -449,12 +461,13 @@ class ServiceCore:
         """Cache lookup -> single-flight scheduled execution -> cache
         fill.  Returns ``(encoded result payload, served_from)``."""
         endpoint = self.metrics.endpoint(op)
+        scope = None  # store-free answers: no write can change them
         if op == "rpq":
-            key, fn = self._prepare_rpq(params)
+            key, fn, scope = self._prepare_rpq(params)
         elif op == "sparql":
             key, fn = self._prepare_sparql(params)
         elif op == "query":
-            key, fn = self._prepare_query(params)
+            key, fn, scope = self._prepare_query(params)
         elif op == "battery":
             key, fn = self._prepare_battery(params)
         elif op == "validate":
@@ -470,13 +483,18 @@ class ServiceCore:
         # every response share one immutable text.  The cache fill rides
         # on execution completion, not on this request returning: a
         # computation that outlives its caller's deadline still pays off
-        # for the next asker
-        payload, coalesced = await self.scheduler.run(
-            key,
-            lambda: encode_result(fn()),
-            deadline,
-            on_result=lambda p: self.cache.put(key, p),
-        )
+        # for the next asker.  An answer too large for any frame fails
+        # on the worker, so it is never cached
+        try:
+            payload, coalesced = await self.scheduler.run(
+                key,
+                lambda: encode_result(fn()),
+                deadline,
+                on_result=lambda p: self.cache.put(key, p, scope),
+            )
+        except ResponseTooLarge:
+            self.metrics.responses_too_large += 1
+            raise
         if coalesced:
             endpoint.coalesced += 1
         return payload, "engine"
@@ -505,6 +523,11 @@ class ServiceCore:
         return value
 
     def _prepare_rpq(self, params: Dict[str, Any]):
+        """Returns ``(key, fn, scope)``: the answer reads only the
+        expression's predicates (``^p`` reads ``p``), so it is keyed by
+        their sub-store fingerprint and survives writes to others —
+        except a nullable walk without ``sources``, whose diagonal
+        covers every node of the store."""
         name, store = self._store_of(params)
         expr_text = params.get("expr")
         if not isinstance(expr_text, str):
@@ -520,6 +543,7 @@ class ServiceCore:
             )
         sharded = isinstance(store, ShardGroup)
         gate = self._gates[name]
+        predicates = predicates_read(expr.alphabet())
         # the canonical form is the structural AST key — rendered text
         # is ambiguous under academic union-'+' notation — plus every
         # parameter the answer depends on
@@ -534,6 +558,8 @@ class ServiceCore:
                 ],
                 ensure_ascii=False,
             )
+            if sources is None and expr.nullable:
+                predicates = None
 
             def fn() -> Dict[str, Any]:
                 if sharded:
@@ -574,10 +600,12 @@ class ServiceCore:
                 return {"semantics": semantics, "exists": bool(exists)}
 
         # a ShardGroup's fingerprint is the *source* store's content
-        # digest, so sharded and single-process deployments over the
-        # same data share cache keys
-        key = result_key("rpq", store.fingerprint(), canonical, semantics)
-        return key, fn
+        # digest (scoped: combined from its owner shards), so sharded
+        # and single-process deployments over the same data share keys
+        key = result_key(
+            "rpq", store.fingerprint(predicates), canonical, semantics
+        )
+        return key, fn, (name, predicates)
 
     @staticmethod
     def _query_text(params: Dict[str, Any]) -> str:
@@ -738,7 +766,8 @@ class ServiceCore:
         evaluate under the store's read gate.  SELECT rows are shipped
         in canonical (sorted-JSON) order *after* solution modifiers, so
         the payload is deterministic and cache keys are deployment-
-        independent."""
+        independent.  A query may read any predicate, so it is keyed by
+        (and scoped to) the whole store."""
         name, store = self._store_of(params)
         text = self._query_text(params)
         sharded = isinstance(store, ShardGroup)
@@ -802,7 +831,7 @@ class ServiceCore:
                 "triples": sorted(list(triple) for triple in result.triples()),
             }
 
-        return key, fn
+        return key, fn, (name, None)
 
     def _prepare_log(self, params: Dict[str, Any]):
         text = self._query_text(params)
@@ -884,20 +913,28 @@ class ServiceCore:
             cleaned.append((item[0], item[1], item[2]))
         gate = self._gates[name]
 
-        def fn() -> Dict[str, Any]:
-            def apply() -> int:
-                return sum(store.add(s, p, o) for s, p, o in cleaned)
+        def fn() -> Tuple[Dict[str, Any], List[str]]:
+            def apply() -> List[str]:
+                return [p for s, p, o in cleaned if store.add(s, p, o)]
 
             added = gate.write(apply)
             return {
-                "added": added,
+                "added": len(added),
                 "size": len(store),
                 "fingerprint": store.fingerprint(),
-            }
+            }, added
 
-        # no single-flight key: mutations are never deduplicated
-        result, _ = await self.scheduler.run(None, fn, deadline)
-        return result
+        # no single-flight key: mutations are never deduplicated.  The
+        # new fingerprints already hide what the write changed; dropping
+        # those entries (on completion, like a cache fill) frees their
+        # slots for live answers
+        outcome, _ = await self.scheduler.run(
+            None,
+            fn,
+            deadline,
+            on_result=lambda outcome: self.cache.drop(name, outcome[1]),
+        )
+        return outcome[0]
 
     # -- stats ------------------------------------------------------------------
 

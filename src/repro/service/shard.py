@@ -116,8 +116,8 @@ from typing import (
 )
 
 from ..errors import ShardError, StoreUnavailableError
-from ..graphs.engine import compile_rpq
-from ..graphs.rdf import TripleStore
+from ..graphs.engine import compile_rpq, predicates_read
+from ..graphs.rdf import TripleStore, combine_content
 from ..logs.analyzer import LogReport
 from ..logs.pipeline import _ingest, _merge_study, _study_worker
 from ..regex.parser import parse as parse_regex
@@ -597,10 +597,19 @@ class ShardGroup:
 
     # -- identity ----------------------------------------------------------------
 
-    def fingerprint(self) -> str:
-        """The *source* store's content fingerprint: result-cache keys
-        of a sharded deployment equal the single-process ones."""
-        return self.manifest.source_fingerprint
+    def fingerprint(self, predicates: Opt[Iterable[str]] = None) -> str:
+        """The *source* store's content fingerprint, or that of its
+        ``predicates`` sub-store (combined from the owner shards'
+        images): result-cache keys of a sharded deployment equal the
+        single-process ones."""
+        if predicates is None:
+            return self.manifest.source_fingerprint
+        owner = self.manifest.predicates
+        return combine_content(
+            self._shard_mapped(owner[predicate])._predicate_content(predicate)
+            for predicate in set(predicates)
+            if predicate in owner
+        )
 
     def __len__(self) -> int:
         return self.manifest.total_triples
@@ -836,12 +845,7 @@ class ShardGroup:
         """The store predicates an expression can read (inverse atoms
         use the same predicate's backward edges, which live wherever the
         predicate's triples do)."""
-        return sorted(
-            {
-                atom[1:] if atom.startswith("^") else atom
-                for atom in plan.atoms
-            }
-        )
+        return sorted(predicates_read(plan.atoms))
 
     def evaluate_walk(
         self,

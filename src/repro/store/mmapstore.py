@@ -73,8 +73,9 @@ import struct
 import sys
 from bisect import bisect_left
 from pathlib import Path
-from typing import Any, Dict, FrozenSet, Iterator, List, Optional as Opt, Tuple, Union
+from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional as Opt, Tuple, Union
 
+from ..core.hashing import accumulate, item_digest
 from ..errors import StoreFrozenError, StoreImageError
 from ..graphs.rdf import TripleStore
 
@@ -477,6 +478,9 @@ class MappedTripleStore(TripleStore):
             self._bwd.append(_CSRAdjacency(int64(bk), int64(bi), int64(bt)))
         self._succ_cache = {}
         self._pred_cache = {}
+        # per-predicate content accumulators, derived on first demand
+        # (the image is frozen, so each is computed at most once)
+        self._pred_content = {}
         self._names: Opt[List[str]] = None
         self._ids_map: Opt[Dict[str, int]] = None
         self._string_indexes: Opt[Tuple[dict, dict, dict]] = None
@@ -528,11 +532,26 @@ class MappedTripleStore(TripleStore):
             f"into a TripleStore, mutate, and save a new image"
         )
 
-    def fingerprint(self) -> str:
+    def fingerprint(self, predicates: Opt[Iterable[str]] = None) -> str:
         """The content fingerprint recorded at freeze time — identical
         to the live store's at :func:`write_image` time, across every
-        process that maps this image."""
-        return self._header_fingerprint
+        process that maps this image.  A ``predicates`` scope is derived
+        from the mapped triples (see :meth:`_predicate_content`), so it
+        agrees with the live store's without an image-format change."""
+        if predicates is None:
+            return self._header_fingerprint
+        return super().fingerprint(predicates)
+
+    def _predicate_content(self, predicate: str) -> Tuple[int, int]:
+        content = self._pred_content.get(predicate)
+        if content is None:
+            acc = count = 0
+            for triple in self.triples(p=predicate):
+                acc = accumulate(acc, item_digest(list(triple)))
+                count += 1
+            content = (acc, count)
+            self._pred_content[predicate] = content
+        return content
 
     # -- engine-facing integer API ------------------------------------------------
 

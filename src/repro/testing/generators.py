@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json as _json
 import random
-from typing import Any, Dict, List, Optional as Opt, Tuple
+from typing import Any, Dict, Iterable, List, Optional as Opt, Tuple
 
 from ..regex.ast import (
     EMPTY,
@@ -393,6 +393,37 @@ def random_rpq_case(rng: random.Random) -> Dict[str, Any]:
         "target": rng.choice(ghosts),
         "semantics": rng.choice(("walk", "simple", "trail")),
     }
+
+
+def random_store_writes(
+    rng: random.Random,
+    triples: List[List[str]],
+    read_predicates: Iterable[str],
+) -> List[List[List[str]]]:
+    """One to three write batches against an RPQ case's store: triples
+    over predicates the expression reads and over ones it does not,
+    duplicates of present triples (which add nothing), and fresh nodes
+    (which grow a nullable expression's all-pairs diagonal)."""
+    inside = sorted(set(read_predicates))
+    outside = [p for p in _RPQ_PREDICATES + ("s",) if p not in inside]
+    present = [list(t) for t in triples]
+    batches: List[List[List[str]]] = []
+    for batch_index in range(rng.randrange(1, 4)):
+        nodes = list(_RPQ_NODES[:3]) + [f"f{batch_index}"]
+        batch: List[List[str]] = []
+        for _ in range(rng.randrange(1, 4)):
+            roll = rng.random()
+            if roll < 0.25 and present:
+                batch.append(list(rng.choice(present)))
+                continue
+            predicate = rng.choice(
+                inside if inside and (roll < 0.65 or not outside) else outside
+            )
+            triple = [rng.choice(nodes), predicate, rng.choice(nodes)]
+            batch.append(triple)
+            present.append(triple)
+        batches.append(batch)
+    return batches
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,7 @@ from .generators import (
     random_regex_ast,
     random_rpq_case,
     random_sparql_text,
+    random_store_writes,
     regex_from_json,
     regex_to_json,
 )
@@ -598,28 +599,42 @@ class SPARQLRoundTripOracle(Oracle):
 # ---------------------------------------------------------------------------
 
 
+def _read_predicates(expr: Regex) -> Set[str]:
+    """The store predicates an RPQ expression reads (``^p`` reads ``p``)."""
+    return {
+        label[1:] if label.startswith("^") else label
+        for label in expr.alphabet()
+    }
+
+
 class ServiceOracle(Oracle):
     name = "service"
     description = (
-        "EmbeddedService responses (engine and cached) vs direct "
-        "library calls"
+        "EmbeddedService responses (engine and cached, before and after "
+        "write batches) vs direct library calls"
     )
 
     def generate(self, rng: random.Random) -> Dict[str, Any]:
         roll = rng.random()
         if roll < 0.5:
             case = random_rpq_case(rng)
+            expr = regex_from_json(case["expr"])
             # the service takes expression *text*; reuse the RPQ case
             # generator and render its AST (both sides re-parse the text,
             # so rendering ambiguity cannot cause a false divergence)
-            return {
+            generated = {
                 "kind": "rpq",
                 "triples": case["triples"],
-                "expr": str(regex_from_json(case["expr"])),
+                "expr": str(expr),
                 "source": case["source"],
                 "target": case["target"],
                 "semantics": case["semantics"],
             }
+            if rng.random() < 0.5:
+                generated["writes"] = random_store_writes(
+                    rng, case["triples"], _read_predicates(expr)
+                )
+            return generated
         kind = "sparql" if roll < 0.75 else "log"
         return {"kind": kind, "query": random_sparql_text(rng)}
 
@@ -629,102 +644,158 @@ class ServiceOracle(Oracle):
         return asyncio.run(self._check(case))
 
     async def _check(self, case: Dict[str, Any]) -> Opt[str]:
-        from ..errors import BadRequest, RegexParseError
+        """Ask twice (engine answer, then cached answer), then after
+        each write batch ask twice again; every answer must equal direct
+        library calls on a mirror store given the same writes."""
         from ..regex.parser import parse as parse_regex
         from ..service import EmbeddedService
+
+        store = TripleStore()
+        if case["kind"] == "rpq":
+            for s, p, o in case["triples"]:
+                store.add(s, p, o)
+        mirror = TripleStore(store.triples())
+        # what a cached answer reads: the expression's predicates, or
+        # the whole store for a nullable all-pairs walk (its diagonal)
+        scope: Opt[Set[str]] = None
+        if case["kind"] == "rpq":
+            try:
+                expr = parse_regex(case["expr"], multi_char=True)
+            except RegexParseError:
+                expr = None
+            if expr is not None and not (
+                case["semantics"] == "walk" and expr.nullable
+            ):
+                scope = _read_predicates(expr)
+        async with EmbeddedService({"g": store}) as service:
+            message = await self._ask_twice(
+                service, case, mirror, "", ["engine", "cache"]
+            )
+            if message is not None:
+                return message
+            for index, batch in enumerate(case.get("writes") or ()):
+                label = f"after write {index}: "
+                response = await service.request(
+                    "mutate", {"store": "g", "triples": batch}
+                )
+                added = [p for s, p, o in batch if mirror.add(s, p, o)]
+                if not response.get("ok"):
+                    return f"{label}mutate failed: {response.get('error')}"
+                if response["result"]["added"] != len(added):
+                    return (
+                        f"{label}mutate added {response['result']['added']} "
+                        f"triples, the mirror store {len(added)}"
+                    )
+                # a write that added nothing the answer reads leaves its
+                # key, and its cache entry, in place
+                changed = bool(added) and (
+                    scope is None or not scope.isdisjoint(added)
+                )
+                message = await self._ask_twice(
+                    service,
+                    case,
+                    mirror,
+                    label,
+                    ["engine" if changed else "cache", "cache"],
+                )
+                if message is not None:
+                    return message
+        return None
+
+    async def _ask_twice(
+        self,
+        service: Any,
+        case: Dict[str, Any],
+        store: TripleStore,
+        label: str,
+        served_wanted: List[str],
+    ) -> Opt[str]:
+        kind = case["kind"]
+        responses = []
+        for _ in range(2):
+            if kind == "rpq":
+                params = {
+                    "store": "g",
+                    "expr": case["expr"],
+                    "semantics": case["semantics"],
+                }
+                if case["semantics"] != "walk":
+                    params["source"] = case["source"]
+                    params["target"] = case["target"]
+                responses.append(await service.request("rpq", params))
+            else:
+                responses.append(
+                    await service.request(kind, {"query": case["query"]})
+                )
+        expected, expected_error = self._expected(case, store)
+        for which, response in zip(("first ask", "second ask"), responses):
+            message = self._compare(
+                f"{label}{which}", response, expected, expected_error
+            )
+            if message is not None:
+                return message
+        served = [r.get("served_from") for r in responses]
+        if expected_error is None and served != served_wanted:
+            return f"{label}served_from sequence {served}, wanted {served_wanted}"
+        return None
+
+    @staticmethod
+    def _expected(
+        case: Dict[str, Any], store: TripleStore
+    ) -> Tuple[Opt[Dict[str, Any]], Opt[str]]:
+        """``(expected result fields, expected error code)`` from direct
+        library calls."""
+        from ..errors import BadRequest
+        from ..regex.parser import parse as parse_regex
         from ..sparql.features import (
             count_triple_patterns,
             operator_set,
             query_features,
         )
-        from ..logs.analyzer import analyze_query, encode_analysis
 
         kind = case["kind"]
-        store = TripleStore()
-        if kind == "rpq":
-            for s, p, o in case["triples"]:
-                store.add(s, p, o)
-        async with EmbeddedService({"g": store}) as service:
-            # ask twice: the first answer comes from the engine, the
-            # second from the result cache; both must equal direct calls
-            responses = []
-            for _ in range(2):
-                if kind == "rpq":
-                    params = {
-                        "store": "g",
-                        "expr": case["expr"],
-                        "semantics": case["semantics"],
-                    }
-                    if case["semantics"] != "walk":
-                        params["source"] = case["source"]
-                        params["target"] = case["target"]
-                    responses.append(await service.request("rpq", params))
-                else:
-                    responses.append(
-                        await service.request(kind, {"query": case["query"]})
-                    )
-        expected_error = None
         if kind == "rpq":
             try:
                 expr = parse_regex(case["expr"], multi_char=True)
             except RegexParseError:
-                expr = None
-                expected_error = BadRequest.code
-            if expr is None:
-                expected = None
-            elif case["semantics"] == "walk":
-                expected = {
+                return None, BadRequest.code
+            if case["semantics"] == "walk":
+                pairs = evaluate_rpq(store, expr)
+                return {
                     "semantics": "walk",
-                    "pairs": sorted(
-                        list(pair) for pair in evaluate_rpq(store, expr)
-                    ),
-                    "count": len(evaluate_rpq(store, expr)),
-                }
-            else:
-                decide = (
-                    exists_simple_path
-                    if case["semantics"] == "simple"
-                    else exists_trail
-                )
-                expected = {
-                    "semantics": case["semantics"],
-                    "exists": decide(
-                        store, expr, case["source"], case["target"]
-                    ),
-                }
-        else:
-            try:
-                query = parse_query(case["query"])
-            except (SPARQLParseError, RecursionError):
-                query = None
-            if kind == "sparql":
-                if query is None:
-                    expected = {"valid": False}
-                else:
-                    expected = {
-                        "valid": True,
-                        "canonical": serialize_query(query),
-                        "query_type": query.query_type,
-                        "triples": count_triple_patterns(query),
-                        "features": sorted(query_features(query)),
-                        "operators": sorted(operator_set(query)),
-                    }
-            else:
-                if query is None:
-                    expected = {"valid": False, "record": None}
-                else:
-                    expected = {
-                        "valid": True,
-                        "record": encode_analysis(analyze_query(query)),
-                    }
-        for which, response in zip(("engine", "cached"), responses):
-            message = self._compare(which, response, expected, expected_error)
-            if message is not None:
-                return message
-        served = [r.get("served_from") for r in responses]
-        if expected_error is None and served != ["engine", "cache"]:
-            return f"served_from sequence {served}, wanted engine then cache"
-        return None
+                    "pairs": sorted(list(pair) for pair in pairs),
+                    "count": len(pairs),
+                }, None
+            decide = (
+                exists_simple_path
+                if case["semantics"] == "simple"
+                else exists_trail
+            )
+            return {
+                "semantics": case["semantics"],
+                "exists": decide(store, expr, case["source"], case["target"]),
+            }, None
+        try:
+            query = parse_query(case["query"])
+        except (SPARQLParseError, RecursionError):
+            query = None
+        if kind == "sparql":
+            if query is None:
+                return {"valid": False}, None
+            return {
+                "valid": True,
+                "canonical": serialize_query(query),
+                "query_type": query.query_type,
+                "triples": count_triple_patterns(query),
+                "features": sorted(query_features(query)),
+                "operators": sorted(operator_set(query)),
+            }, None
+        if query is None:
+            return {"valid": False, "record": None}, None
+        return {
+            "valid": True,
+            "record": encode_analysis(analyze_query(query)),
+        }, None
 
     @staticmethod
     def _compare(
@@ -758,6 +829,16 @@ class ServiceOracle(Oracle):
         self, case: Dict[str, Any]
     ) -> Iterable[Dict[str, Any]]:
         if case["kind"] == "rpq":
+            writes = case.get("writes") or []
+            for index, batch in enumerate(writes):
+                yield {**case, "writes": writes[:index] + writes[index + 1 :]}
+                for position in range(len(batch)):
+                    smaller = batch[:position] + batch[position + 1 :]
+                    if smaller:
+                        yield {
+                            **case,
+                            "writes": writes[:index] + [smaller] + writes[index + 1 :],
+                        }
             for index in range(len(case["triples"])):
                 smaller = list(case["triples"])
                 del smaller[index]

@@ -244,3 +244,41 @@ class TestFingerprint:
         copy = pickle.loads(pickle.dumps(store))
         assert set(copy.triples()) == set(store.triples())
         assert copy.fingerprint() == store.fingerprint()
+
+
+class TestScopedFingerprint:
+    """``fingerprint(predicates)``: the fingerprint of the sub-store of
+    those predicates' triples, from the same digests as the whole."""
+
+    def test_full_predicate_set_equals_the_whole_store(self):
+        store = small_store()
+        assert store.fingerprint(store.predicate_names()) == store.fingerprint()
+        assert store.fingerprint(None) == store.fingerprint()
+
+    def test_equals_the_fingerprint_of_the_restricted_store(self):
+        triples = [(f"s{i}", f"p{i % 3}", f"o{i % 7}") for i in range(25)]
+        store = TripleStore(triples)
+        only = TripleStore(t for t in triples if t[1] in ("p0", "p2"))
+        assert store.fingerprint(["p0", "p2"]) == only.fingerprint()
+        # absent and repeated predicates add nothing
+        assert store.fingerprint(["p2", "p0", "p0", "zz"]) == only.fingerprint()
+        assert store.fingerprint([]) == TripleStore().fingerprint()
+
+    def test_changes_exactly_on_writes_to_its_predicates(self):
+        store = small_store()
+        scoped = store.fingerprint(["p"])
+        assert store.add("x", "q", "y")
+        assert store.fingerprint(["p"]) == scoped
+        other = store.fingerprint(["q"])
+        assert not store.add("x", "q", "y")  # a duplicate adds nothing
+        assert store.fingerprint(["q"]) == other
+        assert store.add("x", "p", "y")
+        assert store.fingerprint(["p"]) != scoped
+
+    def test_pickle_round_trip_preserves_scopes(self):
+        import pickle
+
+        store = small_store()
+        copy = pickle.loads(pickle.dumps(store))
+        for predicate in store.predicate_names():
+            assert copy.fingerprint([predicate]) == store.fingerprint([predicate])

@@ -10,11 +10,13 @@ from repro.errors import (
     BadRequest,
     DeadlineExceeded,
     ProtocolError,
+    ResponseTooLarge,
     ServiceError,
     ServiceOverloaded,
 )
 from repro.service.protocol import (
     MAX_FRAME_BYTES,
+    EncodedResult,
     encode_frame,
     encode_result,
     error_from_response,
@@ -98,10 +100,20 @@ def test_a_plain_string_result_is_still_a_json_string():
 
 def test_spliced_result_past_the_frame_bound_is_rejected():
     # the text alone fits; the envelope around it does not
-    result = encode_result("x" * (MAX_FRAME_BYTES - 2))
+    result = EncodedResult(json.dumps("x" * (MAX_FRAME_BYTES - 2)))
     assert len(result.encode("utf-8")) == MAX_FRAME_BYTES
     with pytest.raises(ProtocolError, match="exceeds"):
         encode_frame(ok_response("big", result, served_from="cache"))
+
+
+def test_a_result_without_room_for_its_envelope_is_refused(monkeypatch):
+    from repro.service import protocol
+
+    monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 4096)
+    room = 4096 - protocol.RESULT_ENVELOPE_BYTES
+    assert len(encode_result("é" * ((room - 2) // 2)).encode("utf-8")) <= room
+    with pytest.raises(ResponseTooLarge):
+        encode_result("é" * (room // 2))
 
 
 def test_clean_eof_between_frames_is_none():

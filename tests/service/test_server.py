@@ -354,6 +354,32 @@ def test_answer_past_the_frame_bound_gets_a_typed_error(monkeypatch):
                 stats = await client.stats()
                 assert stats["metrics"]["responses_too_large"] == 1
                 assert stats["metrics"]["protocol_errors"] == 0
+                # only the answer that could be sent was cached
+                assert stats["cache"]["entries"] == 1
+
+    run(scenario())
+
+
+def test_embedded_answer_past_the_frame_bound_gets_the_same_typed_error(
+    monkeypatch,
+):
+    from repro.service import protocol
+
+    chain = TripleStore([(f"n{i}", "p", f"n{i + 1}") for i in range(40)])
+    monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 2000)
+
+    async def scenario():
+        async with EmbeddedService({"g": chain}) as service:
+            for _ in range(2):  # never cached, so refused afresh each time
+                response = await service.request(
+                    "rpq", {"store": "g", "expr": "p*"}
+                )
+                assert not response["ok"]
+                assert response["error"]["code"] == ResponseTooLarge.code
+            assert len(service.core.cache) == 0
+            assert (await service.rpq("g", "p p"))["count"] == 39
+            stats = await service.stats()
+            assert stats["metrics"]["responses_too_large"] == 2
 
     run(scenario())
 

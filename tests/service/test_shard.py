@@ -473,6 +473,43 @@ def test_embedded_service_over_shards_equals_in_memory_service(tmp_path):
     run(scenario())
 
 
+def test_scoped_fingerprints_combine_the_owner_shards(tmp_path):
+    store, preds = random_store()
+    shard_store(store, tmp_path / "g", shards=3)
+    group = ShardGroup(tmp_path / "g")
+    try:
+        names = store.predicate_names()
+        assert group.fingerprint(names) == group.fingerprint()
+        assert group.fingerprint(names) == store.fingerprint()
+        for scope in ([preds[0]], preds[:2], [preds[2], "absent"], []):
+            assert group.fingerprint(scope) == store.fingerprint(scope)
+    finally:
+        group.close()
+
+
+def test_sharded_and_in_memory_derive_equal_scoped_keys(tmp_path):
+    async def scenario():
+        store, preds = random_store()
+        shard_store(store, tmp_path / "g", shards=3)
+        requests = [
+            {"store": "g", "expr": f"{preds[0]}*", "sources": ["n1"]},
+            {"store": "g", "expr": f"{preds[0]} ^{preds[1]}"},
+            {"store": "g", "expr": f"{preds[2]}*"},  # whole-store scope
+            {"store": "g", "expr": f"{preds[1]}+", "semantics": "trail",
+             "source": "n1", "target": "n2"},
+        ]
+        async with EmbeddedService(
+            {"g": tmp_path / "g"}
+        ) as sharded, EmbeddedService({"g": store}) as single:
+            for params in requests:
+                a = sharded.core._prepare_rpq(params)
+                b = single.core._prepare_rpq(params)
+                assert a[0] == b[0]  # the key
+                assert a[2] == b[2]  # the scope
+
+    run(scenario())
+
+
 def test_sharded_store_stats_and_mutation_refusal(tmp_path):
     async def scenario():
         store, _preds = random_store(triples=30)

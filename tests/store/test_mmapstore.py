@@ -141,6 +141,17 @@ class TestFingerprintIdentity:
         with MappedTripleStore.load(path) as mapped:
             assert mapped.fingerprint() == store.fingerprint()
 
+    def test_scoped_fingerprints_match_the_live_store(self, image):
+        store, path = image
+        names = store.predicate_names()
+        with MappedTripleStore.load(path) as mapped:
+            assert mapped.fingerprint(names) == mapped.fingerprint()
+            for predicate in names:
+                assert mapped.fingerprint([predicate]) == (
+                    store.fingerprint([predicate])
+                )
+            assert mapped.fingerprint(names[:2]) == store.fingerprint(names[:2])
+
     def test_save_returns_the_fingerprint(self, tmp_path):
         store = build_store(seed=1)
         assert store.save(tmp_path / "s.img") == store.fingerprint()
@@ -390,6 +401,9 @@ class TestOlderImages:
         with MappedTripleStore.load(LABEL_SUMMARY_IMAGE) as mapped:
             assert set(mapped.triples()) == set(store.triples())
             assert mapped.fingerprint() == store.fingerprint()
+            assert mapped.fingerprint(mapped.predicate_names()) == (
+                mapped.fingerprint()
+            )
             for expr in EXPRS:
                 plan = compile_rpq(expr)
                 assert plan.evaluate(mapped) == plan.evaluate(store)
