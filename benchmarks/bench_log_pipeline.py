@@ -38,7 +38,6 @@ from repro.errors import SPARQLParseError
 from repro.logs.analyzer import (
     COUNTER_FIELDS,
     analyze_corpus,
-    analyze_query,
     encode_analysis,
 )
 from repro.logs.battery import analyze_query_fused, clear_battery_memos
@@ -46,7 +45,7 @@ from repro.logs.corpus import QueryLogCorpus
 from repro.logs.pipeline import run_study
 from repro.logs.workload import DBPEDIA, generate_source_log
 from repro.sparql.parser import _Parser, parse_query
-from repro.testing.reference import tokenize_reference
+from repro.testing.reference import analyze_query, tokenize_reference
 
 RESULTS_PATH = (
     pathlib.Path(__file__).parent / "results" / "log_pipeline.json"

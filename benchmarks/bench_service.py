@@ -40,7 +40,7 @@ from repro.core.parallelism import usable_cpus
 from repro.errors import ServiceOverloaded, SPARQLParseError
 from repro.graphs.paths import evaluate_rpq
 from repro.graphs.rdf import TripleStore
-from repro.logs.analyzer import analyze_query, encode_analysis
+from repro.logs.analyzer import encode_analysis
 from repro.logs.corpus import normalize_text
 from repro.logs.workload import DBPEDIA, generate_source_log
 from repro.regex.parser import parse as parse_regex
@@ -48,6 +48,7 @@ from repro.service import ReproServer, ServiceConfig, connect
 from repro.service.shard import shard_store
 from repro.sparql.parser import parse_query
 from repro.sparql.serialize import serialize_query
+from repro.testing.reference import analyze_query
 
 RESULTS_PATH = (
     pathlib.Path(__file__).parent / "results" / "service.json"

@@ -6,9 +6,10 @@ Public surface:
   :func:`generate_source_log`, the per-source profiles
   (:data:`DBPEDIA`, :data:`WIKIDATA_ROBOTIC`, …)
 * Corpora: :class:`QueryLogCorpus`, :func:`normalize_text`
-* Analysis: :func:`analyze_corpus`, :func:`analyze_query` (reference),
-  :func:`analyze_query_fused` (the single-traversal production
-  battery), :class:`LogReport`, :func:`combine_reports`
+* Analysis: :func:`analyze_corpus`, :func:`analyze_query_fused` (the
+  single-traversal battery; its multi-pass reference,
+  ``analyze_query``, lives in :mod:`repro.testing.reference`),
+  :class:`LogReport`, :func:`combine_reports`
 * Pipeline: :func:`run_study` (fused parse+analyze workers — the one
   batch path for studies over raw text), :func:`stream_corpus`
   (dedup-first parallel ingestion),
@@ -23,7 +24,6 @@ from .analyzer import (
     LogReport,
     VUCounter,
     analyze_corpus,
-    analyze_query,
     apply_analysis,
     combine_reports,
     encode_analysis,
@@ -76,7 +76,6 @@ __all__ = [
     "PipelineStats",
     "VUCounter",
     "analyze_corpus",
-    "analyze_query",
     "analyze_query_fused",
     "apply_analysis",
     "clear_battery_memos",

@@ -25,38 +25,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional as Opt, Tuple
 
-from ..sparql.ast import PathPattern, Query
-from ..sparql.features import (
-    count_triple_patterns,
-    is_opt_fragment,
-    operator_set,
-    query_features,
-)
-from ..sparql.hypergraph import (
-    canonical_hypergraph,
-    hypertree_width,
-    is_free_connex_acyclic,
-)
-from ..sparql.pathtypes import (
-    path_in_ctract,
-    path_in_ttract,
-    path_is_simple_transitive,
-    table8_bucket,
-)
-from ..sparql.shapes import (
-    is_suitable_for_graph_analysis,
-    query_shape,
-)
-from ..sparql.welldesigned import (
-    is_union_of_well_designed,
-    is_well_behaved,
-    is_well_designed,
-)
 from .battery import analyze_query_fused
 from .corpus import QueryLogCorpus
 
-#: Version of the analysis battery.  Bump whenever :func:`analyze_query`
-#: or :func:`apply_analysis` change what they compute or how results are
+#: Version of the analysis battery.  Bump whenever the battery
+#: (:func:`repro.logs.battery.analyze_query_fused` and its reference,
+#: :func:`repro.testing.reference.analyze_query`) or
+#: :func:`apply_analysis` change what they compute or how results are
 #: keyed — the persistent cache (:mod:`repro.logs.cache`) folds it into
 #: its fingerprint, so stale cached analyses invalidate automatically.
 BATTERY_VERSION = "1"
@@ -155,63 +130,13 @@ def _histogram_bucket(count: int) -> str:
     return str(count) if count <= 10 else "11+"
 
 
-def analyze_query(query: Query) -> Dict[str, object]:
-    """All per-query analysis results (memoized per unique query by the
-    corpus loop).
-
-    This is the *reference* battery: each metric is an independent
-    library call, at the cost of re-walking the AST per metric.  The
-    production paths (:func:`analyze_corpus`, the study pipeline, the
-    service) run :func:`repro.logs.battery.analyze_query_fused`, which
-    must stay observably identical — the ``fused-battery`` differential
-    oracle in :mod:`repro.testing` fuzzes the equivalence against this
-    implementation."""
-    out: Dict[str, object] = {}
-    out["triples"] = count_triple_patterns(query)
-    out["features"] = query_features(query)
-    out["operators"] = operator_set(query)
-    out["type"] = query.query_type
-
-    operators = out["operators"]
-    if operators <= {"And", "Filter"} and out["triples"] > 0:
-        hypergraph = canonical_hypergraph(query)
-        try:
-            out["htw"] = hypertree_width(hypergraph, max_k=4)
-        except ValueError:
-            out["htw"] = None
-        out["fca"] = is_free_connex_acyclic(query)
-    if is_suitable_for_graph_analysis(query):
-        out["shape_with"] = query_shape(query, with_constants=True)
-        out["shape_without"] = query_shape(query, with_constants=False)
-    if is_opt_fragment(query):
-        out["well_designed"] = is_well_designed(query.pattern)
-        out["well_behaved"] = is_well_behaved(query.pattern)
-    if operators <= {"And", "Filter", "Optional", "Union"}:
-        out["uwd"] = is_union_of_well_designed(query.pattern)
-    paths = [
-        node.path
-        for node in query.pattern.walk()
-        if isinstance(node, PathPattern)
-    ]
-    if paths:
-        out["path_buckets"] = [table8_bucket(path) for path in paths]
-        out["path_classes"] = [
-            (
-                path_is_simple_transitive(path),
-                path_in_ctract(path),
-                path_in_ttract(path),
-            )
-            for path in paths
-        ]
-    return out
-
-
 def apply_analysis(
     report: LogReport, analysis: Dict[str, object], multiplicity: int
 ) -> None:
     """Fold one per-query analysis into a report's counters.
 
-    Accepts both the in-memory form of :func:`analyze_query` and the
+    Accepts both the in-memory form of
+    :func:`~repro.logs.battery.analyze_query_fused` and the
     JSON round-tripped form of :func:`encode_analysis` (sets arrive as
     lists, tuples as lists) — every counter key built here is identical
     for the two, which is what makes the parallel and cached pipeline
@@ -264,7 +189,8 @@ def apply_analysis(
 
 
 def encode_analysis(analysis: Dict[str, object]) -> Dict[str, object]:
-    """The JSON-able form of an :func:`analyze_query` result.
+    """The JSON-able form of an
+    :func:`~repro.logs.battery.analyze_query_fused` result.
 
     Sets become sorted lists and bool-triples become lists; everything
     else (ints, bools, strings, the ``htw: None`` marker) is already

@@ -1,6 +1,6 @@
 """The fused analysis battery: one AST traversal per query.
 
-:func:`repro.logs.analyzer.analyze_query` composes the per-query
+:func:`repro.testing.reference.analyze_query` composes the per-query
 analyses out of independent library calls (`count_triple_patterns`,
 `query_features`, `operator_set`, the shape/hypergraph/well-designedness
 preconditions), each of which re-walks the AST — a typical query is
@@ -24,8 +24,9 @@ key-for-key and value-for-value identical to ``analyze_query`` — same
 keys, same insertion order, same list orders — so the
 :func:`~repro.logs.analyzer.encode_analysis` form is byte-identical and
 :data:`~repro.logs.analyzer.BATTERY_VERSION` does not change.  The old
-battery stays in place as the reference oracle; the ``fused-battery``
-differential target in :mod:`repro.testing` fuzzes the equivalence.
+battery lives on as the reference oracle in
+:mod:`repro.testing.reference`; the ``fused-battery`` differential
+target in :mod:`repro.testing` fuzzes the equivalence.
 """
 
 from __future__ import annotations
@@ -439,7 +440,7 @@ def _path_verdicts(path) -> Tuple[str, Tuple]:
 
 def analyze_query_fused(query: Query) -> Dict[str, object]:
     """Single-traversal equivalent of
-    :func:`~repro.logs.analyzer.analyze_query` (identical output)."""
+    :func:`~repro.testing.reference.analyze_query` (identical output)."""
     pattern = query.pattern
     facts = _collect(pattern)
     operators = facts.operators

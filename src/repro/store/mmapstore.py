@@ -20,7 +20,8 @@ Image layout (format 2)
     header_len   8 bytes   unsigned little-endian
     header       JSON (UTF-8): format version, byte order, fingerprint,
                  content accumulator, triple/node counts, predicate
-                 names, and a section table of [offset, length] pairs
+                 names, per-predicate content (optional), and a
+                 section table of [offset, length] pairs
     sections     8-byte-aligned raw arrays:
                  * node_blob / node_offsets — the interned string
                    table: UTF-8 bytes plus int64 offsets (offsets[i] ..
@@ -35,6 +36,10 @@ format-2 writers also emitted ``label_out``/``label_in`` per-node
 bitmask sections; the reader ignores them.  "Node n has an edge under
 predicate p" is ``n in forward_adjacency(p)`` (or
 ``backward_adjacency`` for incoming edges), a bisect on mapped keys.
+The optional ``predicate_content`` header key (one ``[accumulator hex,
+triple count]`` pair per predicate, in ``predicates`` order) makes a
+scoped fingerprint a header lookup; images written before it derive
+those pairs from the mapped triples on first demand.
 
 All arrays are little-endian int64.  The header carries the writing
 store's content fingerprint (the same order-independent digest
@@ -168,6 +173,10 @@ def write_image(store: TripleStore, path: PathLike) -> str:
         "triples": len(store),
         "nodes": len(names),
         "predicates": predicates,
+        "predicate_content": [
+            [f"{acc:x}", count]
+            for acc, count in map(store._predicate_content, predicates)
+        ],
         "csr": csr_table,
     }
     # lay the sections out after the header, 8-byte aligned
@@ -478,9 +487,25 @@ class MappedTripleStore(TripleStore):
             self._bwd.append(_CSRAdjacency(int64(bk), int64(bi), int64(bt)))
         self._succ_cache = {}
         self._pred_cache = {}
-        # per-predicate content accumulators, derived on first demand
-        # (the image is frozen, so each is computed at most once)
+        # per-predicate content accumulators: read from the header when
+        # the writer recorded them, else derived on first demand (the
+        # image is frozen, so each is computed at most once)
         self._pred_content = {}
+        recorded = header.get("predicate_content")
+        if recorded is not None:
+            try:
+                if not isinstance(recorded, list) or len(recorded) != len(
+                    self._pred_names
+                ):
+                    raise ValueError("not one pair per predicate")
+                self._pred_content = {
+                    name: (int(acc, 16), int(count))
+                    for name, (acc, count) in zip(self._pred_names, recorded)
+                }
+            except (TypeError, ValueError) as exc:
+                raise StoreImageError(
+                    f"{self._path}: malformed predicate_content: {exc}"
+                )
         self._names: Opt[List[str]] = None
         self._ids_map: Opt[Dict[str, int]] = None
         self._string_indexes: Opt[Tuple[dict, dict, dict]] = None
@@ -535,16 +560,21 @@ class MappedTripleStore(TripleStore):
     def fingerprint(self, predicates: Opt[Iterable[str]] = None) -> str:
         """The content fingerprint recorded at freeze time — identical
         to the live store's at :func:`write_image` time, across every
-        process that maps this image.  A ``predicates`` scope is derived
-        from the mapped triples (see :meth:`_predicate_content`), so it
-        agrees with the live store's without an image-format change."""
+        process that maps this image.  A ``predicates`` scope combines
+        the per-predicate content the header records (see
+        :meth:`_predicate_content`), so it agrees with the live store's."""
         if predicates is None:
             return self._header_fingerprint
         return super().fingerprint(predicates)
 
     def _predicate_content(self, predicate: str) -> Tuple[int, int]:
+        """``(accumulator, triple count)`` of one predicate's triples: a
+        dict lookup, or for an image whose header lacks
+        ``predicate_content``, one pass over the predicate's triples."""
         content = self._pred_content.get(predicate)
         if content is None:
+            if predicate not in self._pred_ids:
+                return (0, 0)
             acc = count = 0
             for triple in self.triples(p=predicate):
                 acc = accumulate(acc, item_digest(list(triple)))

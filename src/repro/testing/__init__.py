@@ -12,7 +12,8 @@ package guards those pairs with machine-generated inputs:
   generates cases, checks one case for a divergence, shrinks failures
   and round-trips cases through JSON for the regression corpus;
 * :mod:`repro.testing.reference` — reference implementations the
-  production fast paths are checked against (the regex SPARQL lexer);
+  production fast paths are checked against (the regex SPARQL lexer,
+  the multi-pass analysis battery);
 * :mod:`repro.testing.shrink` — the greedy shrinking loop;
 * :mod:`repro.testing.runner` — the timed/counted fuzz loop and corpus
   replay;

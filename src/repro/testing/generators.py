@@ -228,6 +228,82 @@ def random_json_text(rng: random.Random) -> str:
 
 
 # ---------------------------------------------------------------------------
+# XML documents
+# ---------------------------------------------------------------------------
+
+#: element names: plain, and with every punctuation an XML name allows
+_XML_NAMES = ("a", "b", "x:y", "d.e-f", "_g", "h1")
+_XML_ATTRIBUTES = (("id", "1"), ("x:k", "a b"), ("k-2", "&amp;"), ("e", ""))
+_XML_VALUES = ("hi", "a & b", "x<y>z", "  ", "&amp;")
+_XML_SPLICES = (
+    "<!-- c -->",
+    "<![CDATA[x<y]]>",
+    "<?pi x?>",
+    "<!DOCTYPE d [<!ELEMENT d ANY>]>",
+    "<a/ >",
+    "</a >",
+    "</a/>",
+    "<a\n>",
+    "<a k='1'>",
+    "<1/>",
+    "&bogus;",
+    "<",
+    "/>",
+)
+_XML_CHARS = "<>/!?-[]=\"' &;:a1\n"
+
+
+def random_xml_document(rng: random.Random) -> Any:
+    """An XML document (``str``, or ``bytes`` with undecodable bytes):
+    the serialized :func:`~repro.trees.xml_corpus.random_tree` of a
+    random DTD with renamed elements, some attributes and text, often
+    corrupted by :func:`~repro.trees.xml_corpus.inject_error` and a
+    one-character edit or splice."""
+    from ..trees.schema_corpus import DTDCorpusProfile, random_dtd
+    from ..trees.xml_corpus import (
+        DEFAULT_ERROR_MIX,
+        inject_error,
+        random_tree,
+        serialize,
+    )
+
+    # no injected non-deterministic rule: it can leave a label with no
+    # finite subtree, which random_tree recurses on without end
+    profile = DTDCorpusProfile(
+        num_labels_min=2, num_labels_max=6, nondeterministic_rate=0.0
+    )
+    tree = random_tree(
+        random_dtd(rng, profile), rng, max_nodes=rng.randrange(1, 40)
+    )
+    names: Dict[str, str] = {}
+    for node in tree.root.walk():
+        node.label = names.setdefault(node.label, rng.choice(_XML_NAMES))
+        if rng.random() < 0.15:
+            node.attributes = dict(rng.sample(_XML_ATTRIBUTES, 2))
+        if rng.random() < 0.15:
+            node.value = rng.choice(_XML_VALUES)
+    text = serialize(tree, indent=rng.random() < 0.5)
+    if rng.random() < 0.4:
+        at = rng.randrange(len(text) + 1)
+        op = rng.randrange(4)
+        if op == 0:
+            text = text[:at] + rng.choice(_XML_SPLICES) + text[at:]
+        elif op == 1:
+            text = text[:at] + rng.choice(_XML_CHARS) + text[at:]
+        else:
+            # delete (op 2) or replace (op 3) one character
+            text = (
+                text[:at]
+                + (rng.choice(_XML_CHARS) if op == 3 else "")
+                + text[at + 1 :]
+            )
+    if rng.random() < 0.3:
+        kind = rng.choice([kind for kind, _share in DEFAULT_ERROR_MIX])
+        return inject_error(text, kind, rng)
+    return text
+
+
+# ---------------------------------------------------------------------------
 # DTDs, trees and event streams
 # ---------------------------------------------------------------------------
 

@@ -12,6 +12,7 @@ corpus replay tests discover them by name.
 from __future__ import annotations
 
 import dataclasses
+import io
 import json as _stdjson
 import random
 import tempfile
@@ -24,6 +25,7 @@ from ..errors import (
     RegexParseError,
     SchemaError,
     SPARQLParseError,
+    XMLParseError,
 )
 from ..graphs.paths import (
     evaluate_rpq,
@@ -39,7 +41,6 @@ from ..logs.analyzer import (
     COUNTER_FIELDS,
     LogReport,
     analyze_corpus,
-    analyze_query,
     encode_analysis,
 )
 from ..logs.battery import analyze_query_fused
@@ -62,6 +63,11 @@ from ..trees.edtd import EDTD
 from ..trees.json_parser import iter_json_events, parse_json
 from ..trees.streaming import validate_stream
 from ..trees.tree import Tree, TreeNode
+from ..trees.xml_parser import (
+    BAD_ENCODING,
+    check_well_formedness,
+    iter_xml_events,
+)
 from .generators import (
     Event,
     random_dtd_rules,
@@ -72,10 +78,11 @@ from .generators import (
     random_rpq_case,
     random_sparql_text,
     random_store_writes,
+    random_xml_document,
     regex_from_json,
     regex_to_json,
 )
-from .reference import tokenize_reference
+from .reference import analyze_query, tokenize_reference
 from .shrink import sequence_candidates, text_candidates
 
 
@@ -186,6 +193,108 @@ class JSONOracle(Oracle):
 
     def shrink_candidates(self, case: str) -> Iterable[str]:
         return text_candidates(case)
+
+
+# ---------------------------------------------------------------------------
+# XML: the chunked event stream vs one chunk vs the tree parser
+# ---------------------------------------------------------------------------
+
+
+def _xml_stream(source, chunk_size: int) -> Tuple[List[Event], Opt[tuple]]:
+    """The events of ``iter_xml_events`` (adjacent text merged, since
+    text splits at chunk boundaries) and its ``(category, position)``
+    error, or ``None`` when the stream ends cleanly."""
+    events: List[Event] = []
+    try:
+        for kind, value in iter_xml_events(source, chunk_size):
+            if kind == "text" and events and events[-1][0] == "text":
+                events[-1] = ("text", events[-1][1] + value)
+            else:
+                events.append((kind, value))
+    except XMLParseError as exc:
+        return events, (exc.category, exc.position)
+    return events, None
+
+
+class XMLOracle(Oracle):
+    name = "xml"
+    description = (
+        "iter_xml_events at a small chunk size vs one chunk (events or "
+        "error), its error vs check_well_formedness, and its start/end "
+        "events vs the parsed tree"
+    )
+
+    def generate(self, rng: random.Random) -> Dict[str, Any]:
+        return {"chunk": rng.randrange(1, 65), "data": random_xml_document(rng)}
+
+    def check(self, case: Dict[str, Any]) -> Opt[str]:
+        data = case["data"]
+        chunked_source = data if isinstance(data, bytes) else io.StringIO(data)
+        chunked = _xml_stream(chunked_source, case["chunk"])
+        whole = _xml_stream(data, max(1, len(data)))
+        report = check_well_formedness(data)
+        reported = [(error.category, error.position) for error in report.errors]
+        if whole[1] is not None and whole[1] not in reported:
+            return (
+                f"one-chunk stream error {whole[1]} is not among "
+                f"check_well_formedness's {reported}"
+            )
+        if chunked != whole and not self._bad_bytes_explain(
+            data, whole[1], chunked[1]
+        ):
+            return f"chunk {case['chunk']} vs one chunk: {chunked} vs {whole}"
+        if report.well_formed:
+            structure = [event for event in whole[0] if event[0] != "text"]
+            expected = list(report.tree.root.events())
+            if structure != expected:
+                return (
+                    f"stream structure {structure} differs from the "
+                    f"parsed tree's {expected}"
+                )
+        return None
+
+    @staticmethod
+    def _bad_bytes_explain(
+        data: Any, whole: Opt[tuple], chunked: Opt[tuple]
+    ) -> bool:
+        """Whether undecodable bytes explain why small chunks differ
+        from one: in one chunk, decoding fails before the first token;
+        small chunks yield the events before those bytes and then fail
+        on them with the same error, or first meet a lexical error
+        before them, which must be one :func:`check_well_formedness`
+        reports for the decodable prefix."""
+        if not (
+            isinstance(data, bytes)
+            and whole is not None
+            and whole[0] == BAD_ENCODING
+        ):
+            return False
+        if chunked == whole:
+            return True
+        if chunked is None or chunked[1] > whole[1]:
+            return False
+        prefix = data.decode("utf-8-sig", errors="replace")[: whole[1]]
+        return chunked in [
+            (error.category, error.position)
+            for error in check_well_formedness(prefix).errors
+        ]
+
+    def shrink_candidates(self, case: Dict[str, Any]) -> Iterable[Dict[str, Any]]:
+        for data in text_candidates(case["data"]):
+            yield {**case, "data": data}
+        if case["chunk"] > 1:
+            yield {**case, "chunk": case["chunk"] // 2}
+
+    def encode(self, case: Dict[str, Any]) -> Dict[str, Any]:
+        data = case["data"]
+        if isinstance(data, bytes):
+            return {"chunk": case["chunk"], "bytes": data.decode("latin-1")}
+        return {"chunk": case["chunk"], "text": data}
+
+    def decode(self, obj: Dict[str, Any]) -> Dict[str, Any]:
+        if "bytes" in obj:
+            return {"chunk": obj["chunk"], "data": obj["bytes"].encode("latin-1")}
+        return {"chunk": obj["chunk"], "data": obj["text"]}
 
 
 # ---------------------------------------------------------------------------
@@ -1446,6 +1555,7 @@ ORACLES: Dict[str, Oracle] = {
     oracle.name: oracle
     for oracle in (
         JSONOracle(),
+        XMLOracle(),
         DTDStreamOracle(),
         RPQOracle(),
         RegexDeterminismOracle(),

@@ -71,7 +71,13 @@ ERROR_CATEGORIES = (
     STRAY_END_TAG,
 )
 
-_NAME = re.compile(r"[A-Za-z_:][A-Za-z0-9_:.\-]*")
+_NAME_CHARS = r"[A-Za-z_:][A-Za-z0-9_:.\-]*"
+_NAME = re.compile(_NAME_CHARS)
+# a plain tag: <name>, <name/> or </name>, no attributes; group 1 is an
+# end tag's name, group 2 a start tag's, group 3 the self-closing slash
+_PLAIN_TAG = re.compile(
+    rf"<(?:/({_NAME_CHARS})\s*|({_NAME_CHARS})\s*(/)?)>"
+)
 _SPACE = re.compile(r"\s*")
 _UNQUOTED = re.compile(r"[^\s>/]*")
 _RESYNC = re.compile(r"[>/]")
@@ -160,6 +166,12 @@ def _decode_entities(text: str, scanner_pos: int, errors: List[XMLError]) -> str
 
 # ----------------------------------------------------------------------
 # The tokenizer
+#
+# Most markup is a plain tag (a name, optional space, ``>`` or ``/>``):
+# :func:`_tokens` lexes one with a single ``_PLAIN_TAG`` match, but only
+# where :func:`_markup` would not ask for a refill (at end of input, or
+# with at least 9 characters buffered), so text runs split at the same
+# chunk boundaries either way.  Every other ``<`` goes to :func:`_markup`.
 # ----------------------------------------------------------------------
 
 
@@ -329,7 +341,13 @@ def _tokens(feeder: ChunkFeeder) -> Iterator[tuple]:
     Comments, processing instructions and DOCTYPE are skipped.  Fatal
     errors raise :class:`~repro.errors.XMLParseError`; recoverable errors
     found inside the same markup are yielded first.
+
+    A plain tag (``<name>``, ``<name/>`` or ``</name>``, space allowed
+    before ``>`` or ``/>``) takes one compiled match and yields the token
+    :func:`_markup` would, when ``eof`` or at least 9 characters are
+    buffered from its ``<`` (where :func:`_markup` does not refill).
     """
+    plain_tag = _PLAIN_TAG.match
     buf, p, base, eof = feeder.buf, feeder.pos, feeder.base, feeder.eof
     while True:
         n = len(buf)
@@ -348,6 +366,16 @@ def _tokens(feeder: ChunkFeeder) -> Iterator[tuple]:
             yield ("text", buf[p:end], base + p)
             p = end
             continue
+        if n - p >= 9 or eof:
+            tag = plain_tag(buf, p)
+            if tag is not None:
+                end_name, name, slash = tag.groups()
+                if end_name is None:
+                    yield ("start", name, {}, slash is not None, base + p)
+                else:
+                    yield ("end", end_name, base + p)
+                p = tag.end()
+                continue
         errors: List[XMLError] = []
         try:
             token, end = _markup(buf, p, eof, base, errors)

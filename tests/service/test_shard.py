@@ -487,6 +487,24 @@ def test_scoped_fingerprints_combine_the_owner_shards(tmp_path):
         group.close()
 
 
+def test_scoped_fingerprints_read_the_shard_headers(tmp_path, monkeypatch):
+    from repro.store.mmapstore import MappedTripleStore
+
+    store, preds = random_store()
+    shard_store(store, tmp_path / "g", shards=3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a recorded image must not scan triples")
+
+    monkeypatch.setattr(MappedTripleStore, "triples", refuse)
+    group = ShardGroup(tmp_path / "g")
+    try:
+        for scope in (store.predicate_names(), [preds[0]], preds[:2]):
+            assert group.fingerprint(scope) == store.fingerprint(scope)
+    finally:
+        group.close()
+
+
 def test_sharded_and_in_memory_derive_equal_scoped_keys(tmp_path):
     async def scenario():
         store, preds = random_store()

@@ -152,6 +152,27 @@ class TestFingerprintIdentity:
                 )
             assert mapped.fingerprint(names[:2]) == store.fingerprint(names[:2])
 
+    def test_scoped_fingerprints_read_the_header(self, image, monkeypatch):
+        store, path = image
+        names = store.predicate_names()
+        assert len(read_header(path)["predicate_content"]) == len(names)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a recorded image must not scan triples")
+
+        with MappedTripleStore.load(path) as mapped:
+            monkeypatch.setattr(mapped, "triples", refuse)
+            for scope in ([names[0]], names[:2], names, [names[1], "absent"]):
+                assert mapped.fingerprint(scope) == store.fingerprint(scope)
+
+    def test_malformed_predicate_content_is_refused(self, image, tmp_path):
+        _, path = image
+        bad = mangle_header(
+            path, tmp_path, lambda h: h["predicate_content"].pop()
+        )
+        with pytest.raises(StoreImageError):
+            MappedTripleStore.load(bad)
+
     def test_save_returns_the_fingerprint(self, tmp_path):
         store = build_store(seed=1)
         assert store.save(tmp_path / "s.img") == store.fingerprint()
@@ -404,6 +425,13 @@ class TestOlderImages:
             assert mapped.fingerprint(mapped.predicate_names()) == (
                 mapped.fingerprint()
             )
+            # written before per-predicate content was recorded: scoped
+            # fingerprints are derived from the mapped triples
+            assert "predicate_content" not in header
+            for predicate in store.predicate_names():
+                assert mapped.fingerprint([predicate]) == (
+                    store.fingerprint([predicate])
+                )
             for expr in EXPRS:
                 plan = compile_rpq(expr)
                 assert plan.evaluate(mapped) == plan.evaluate(store)
