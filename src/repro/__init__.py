@@ -18,20 +18,21 @@ Open-source reproduction of the systems surveyed in Wim Martens,
   pieces together.
 * :mod:`repro.testing` — seedable differential fuzzing harness pitting
   the fast implementations against reference oracles.
+* :mod:`repro.service` and :mod:`repro.store` — the query server and the
+  memory-mapped triple-store images it serves.
+
+Package names resolve on first use: ``import repro.trees.streaming``
+loads only the modules that :mod:`repro.trees.streaming` itself
+imports, and
+``repro.sparql.parse_query`` imports :mod:`repro.sparql.parser` the
+first time it is read (:mod:`repro._exports`).
 """
 
 __version__ = "1.0.0"
 
-from . import core, errors, graphs, logs, regex, sparql, testing, trees
+from ._exports import lazy_surface
 
-__all__ = [
-    "core",
-    "errors",
-    "graphs",
-    "logs",
-    "regex",
-    "sparql",
-    "testing",
-    "trees",
-    "__version__",
-]
+_SUBPACKAGES = ("core", "errors", "graphs", "logs", "regex", "sparql", "testing", "trees")
+
+__getattr__, __dir__, _ = lazy_surface(__name__, dict.fromkeys((*_SUBPACKAGES, "service", "store"), ()))
+__all__ = [*_SUBPACKAGES, "__version__"]

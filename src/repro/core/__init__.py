@@ -1,13 +1,10 @@
 """Orchestration: the practical-study methodology as a library, plus
 cross-subsystem primitives (content-addressing in :mod:`.hashing`)."""
 
-from .hashing import payload_fingerprint, text_key
-from .study import PracticalStudy, StudyScale, perspective_note
+from .._exports import lazy_surface
 
-__all__ = [
-    "PracticalStudy",
-    "StudyScale",
-    "payload_fingerprint",
-    "perspective_note",
-    "text_key",
-]
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "hashing": ("payload_fingerprint", "text_key"),
+    "parallelism": (),
+    "study": ("PracticalStudy", "StudyScale", "perspective_note"),
+})

@@ -15,83 +15,31 @@ Public surface:
   :func:`clear_plan_cache`
 """
 
-from .engine import (
-    CompiledRPQ,
-    clear_plan_cache,
-    compile_rpq,
-    configure_plan_cache,
-    plan_cache_info,
-)
-from .generator import (
-    foaf_rdf,
-    hierarchy_graph,
-    p2p_network,
-    rdf_from_graph,
-    road_network,
-    web_graph,
-)
-from .paths import (
-    count_walk_answers,
-    evaluate_rpq,
-    exists_simple_path,
-    exists_simple_path_smart,
-    exists_trail,
-    reachable_by_rpq,
-)
-from .powerlaw import (
-    PowerLawFit,
-    ccdf,
-    degree_histogram,
-    fit_power_law,
-    looks_heavy_tailed,
-)
-from .rdf import Triple, TripleStore
-from .treewidth import (
-    TreeDecomposition,
-    TreewidthInterval,
-    exact_treewidth_small,
-    is_valid_decomposition,
-    lower_bound_degeneracy,
-    lower_bound_mmd_plus,
-    make_graph,
-    treewidth_interval,
-    upper_bound_min_degree,
-    upper_bound_min_fill,
-)
+from .._exports import lazy_surface
 
-__all__ = [
-    "CompiledRPQ",
-    "clear_plan_cache",
-    "compile_rpq",
-    "configure_plan_cache",
-    "plan_cache_info",
-    "foaf_rdf",
-    "hierarchy_graph",
-    "p2p_network",
-    "rdf_from_graph",
-    "road_network",
-    "web_graph",
-    "count_walk_answers",
-    "evaluate_rpq",
-    "exists_simple_path",
-    "exists_simple_path_smart",
-    "exists_trail",
-    "reachable_by_rpq",
-    "PowerLawFit",
-    "ccdf",
-    "degree_histogram",
-    "fit_power_law",
-    "looks_heavy_tailed",
-    "Triple",
-    "TripleStore",
-    "TreeDecomposition",
-    "TreewidthInterval",
-    "exact_treewidth_small",
-    "is_valid_decomposition",
-    "lower_bound_degeneracy",
-    "lower_bound_mmd_plus",
-    "make_graph",
-    "treewidth_interval",
-    "upper_bound_min_degree",
-    "upper_bound_min_fill",
-]
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "engine": (
+        "CompiledRPQ", "clear_plan_cache", "compile_rpq", "configure_plan_cache",
+        "plan_cache_info",
+    ),
+    "generator": (
+        "foaf_rdf", "hierarchy_graph", "p2p_network", "rdf_from_graph", "road_network",
+        "web_graph",
+    ),
+    "parallel": (),
+    "paths": (
+        "count_walk_answers", "evaluate_rpq", "exists_simple_path",
+        "exists_simple_path_smart", "exists_trail", "reachable_by_rpq",
+    ),
+    "powerlaw": (
+        "PowerLawFit", "ccdf", "degree_histogram", "fit_power_law",
+        "looks_heavy_tailed",
+    ),
+    "rdf": ("Triple", "TripleStore"),
+    "treewidth": (
+        "TreeDecomposition", "TreewidthInterval", "exact_treewidth_small",
+        "is_valid_decomposition", "lower_bound_degeneracy", "lower_bound_mmd_plus",
+        "make_graph", "treewidth_interval", "upper_bound_min_degree",
+        "upper_bound_min_fill",
+    ),
+})

@@ -14,155 +14,39 @@ Public surface of :mod:`repro.regex`:
 * The Appendix A reduction: :mod:`repro.regex.reduction`
 """
 
-from .ast import (
-    EMPTY,
-    EPSILON,
-    Concat,
-    Empty,
-    Epsilon,
-    Optional,
-    Plus,
-    Regex,
-    Star,
-    Symbol,
-    Union,
-    concat,
-    literal,
-    optional,
-    plus,
-    star,
-    symbol,
-    union,
-    word,
-)
-from .automata import DFA, NFA, glushkov, minimal_dfa, thompson
-from .chare import (
-    best_containment,
-    best_intersection,
-    block_form,
-    canonical_block_form,
-    containment_a_aplus,
-    containment_a_disj,
-    containment_in_downward_closed,
-    equivalent_blocks,
-    intersection_a_aplus,
-    intersection_a_disj,
-    is_downward_closed_chain,
-)
-from .classes import (
-    FACTOR_TYPES,
-    SimpleFactor,
-    as_simple_factor,
-    chare_factors,
-    factor_type_signature,
-    in_fragment,
-    is_chare,
-    is_ctract,
-    is_k_ore,
-    is_simple_transitive,
-    is_sore,
-    is_ttract,
-    max_occurrences,
-)
-from .determinism import (
-    determinism_violation,
-    is_deterministic,
-    is_deterministic_definable,
-)
-from .generators import ChareProfile, default_alphabet, random_chare, random_regex
-from .ops import (
-    accepts,
-    containment_counterexample,
-    contains,
-    enumerate_words,
-    equivalent,
-    intersection_nonempty,
-    intersection_witness,
-    is_contained,
-    language_is_empty,
-    language_is_universal,
-)
-from .parser import parse
-from .reduction import (
-    DNFFormula,
-    assignment_word,
-    random_dnf,
-    validity_to_containment,
-)
-from .sampling import EmptyLanguageError, sample_word, sample_words
+from .._exports import lazy_surface
 
-__all__ = [
-    "EMPTY",
-    "EPSILON",
-    "Concat",
-    "Empty",
-    "Epsilon",
-    "Optional",
-    "Plus",
-    "Regex",
-    "Star",
-    "Symbol",
-    "Union",
-    "concat",
-    "literal",
-    "optional",
-    "plus",
-    "star",
-    "symbol",
-    "union",
-    "word",
-    "DFA",
-    "NFA",
-    "glushkov",
-    "minimal_dfa",
-    "thompson",
-    "best_containment",
-    "best_intersection",
-    "block_form",
-    "canonical_block_form",
-    "containment_a_aplus",
-    "containment_a_disj",
-    "containment_in_downward_closed",
-    "equivalent_blocks",
-    "intersection_a_aplus",
-    "intersection_a_disj",
-    "is_downward_closed_chain",
-    "FACTOR_TYPES",
-    "SimpleFactor",
-    "as_simple_factor",
-    "chare_factors",
-    "factor_type_signature",
-    "in_fragment",
-    "is_chare",
-    "is_ctract",
-    "is_k_ore",
-    "is_simple_transitive",
-    "is_sore",
-    "is_ttract",
-    "max_occurrences",
-    "determinism_violation",
-    "is_deterministic",
-    "is_deterministic_definable",
-    "ChareProfile",
-    "default_alphabet",
-    "random_chare",
-    "random_regex",
-    "accepts",
-    "containment_counterexample",
-    "contains",
-    "enumerate_words",
-    "equivalent",
-    "intersection_nonempty",
-    "intersection_witness",
-    "is_contained",
-    "language_is_empty",
-    "language_is_universal",
-    "parse",
-    "DNFFormula",
-    "assignment_word",
-    "random_dnf",
-    "validity_to_containment",
-    "EmptyLanguageError",
-    "sample_word",
-    "sample_words",
-]
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "ast": (
+        "EMPTY", "EPSILON", "Concat", "Empty", "Epsilon", "Optional", "Plus", "Regex",
+        "Star", "Symbol", "Union", "concat", "literal", "optional", "plus", "star",
+        "symbol", "union", "word",
+    ),
+    "automata": ("DFA", "NFA", "glushkov", "minimal_dfa", "thompson"),
+    "chare": (
+        "best_containment", "best_intersection", "block_form", "canonical_block_form",
+        "containment_a_aplus", "containment_a_disj", "containment_in_downward_closed",
+        "equivalent_blocks", "intersection_a_aplus", "intersection_a_disj",
+        "is_downward_closed_chain",
+    ),
+    "classes": (
+        "FACTOR_TYPES", "SimpleFactor", "as_simple_factor", "chare_factors",
+        "factor_type_signature", "in_fragment", "is_chare", "is_ctract", "is_k_ore",
+        "is_simple_transitive", "is_sore", "is_ttract", "max_occurrences",
+    ),
+    "convert": (),
+    "determinism": (
+        "determinism_violation", "is_deterministic", "is_deterministic_definable",
+    ),
+    "generators": ("ChareProfile", "default_alphabet", "random_chare", "random_regex"),
+    "ops": (
+        "accepts", "containment_counterexample", "contains", "enumerate_words",
+        "equivalent", "intersection_nonempty", "intersection_witness", "is_contained",
+        "language_is_empty", "language_is_universal",
+    ),
+    "parser": ("parse",),
+    "reduction": (
+        "DNFFormula", "assignment_word", "random_dnf", "validity_to_containment",
+    ),
+    "sampling": ("EmptyLanguageError", "sample_word", "sample_words"),
+})

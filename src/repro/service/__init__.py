@@ -43,107 +43,29 @@ Run a demo server with ``python -m repro.service --port 7411``
 (add ``--shards 4`` to serve the demo store sharded).
 """
 
-from ..errors import (
-    BadRequest,
-    DeadlineExceeded,
-    ProtocolError,
-    ResponseTooLarge,
-    ServiceError,
-    ServiceOverloaded,
-    ShardError,
-    StoreFrozenError,
-    StoreUnavailableError,
-)
-from .client import RequestAPI, ServiceClient, connect
-from .metrics import EndpointMetrics, LatencyHistogram, ServiceMetrics
-from .protocol import (
-    WIRE_VERSION,
-    BatteryRequest,
-    BatteryResponse,
-    ErrorResponse,
-    LogBatteryRequest,
-    LogBatteryResponse,
-    MutateRequest,
-    MutateResponse,
-    PingRequest,
-    PingResponse,
-    QueryRequest,
-    QueryResponse,
-    Request,
-    Response,
-    RpqRequest,
-    RpqResponse,
-    SparqlRequest,
-    SparqlResponse,
-    StatsRequest,
-    StatsResponse,
-    ValidateRequest,
-    ValidateResponse,
-    parse_response,
-)
-from .resultcache import ResultCache, result_key
-from .scheduler import Scheduler
-from .server import (
-    COMPUTE_OPS,
-    EmbeddedService,
-    ReproServer,
-    ServiceConfig,
-    ServiceCore,
-    open_service,
-    serve,
-)
-from .shard import ShardGroup, ShardManifest, shard_store
+from .._exports import lazy_surface
 
-__all__ = [
-    "BadRequest",
-    "BatteryRequest",
-    "BatteryResponse",
-    "COMPUTE_OPS",
-    "DeadlineExceeded",
-    "EmbeddedService",
-    "EndpointMetrics",
-    "ErrorResponse",
-    "LatencyHistogram",
-    "LogBatteryRequest",
-    "LogBatteryResponse",
-    "MutateRequest",
-    "MutateResponse",
-    "PingRequest",
-    "PingResponse",
-    "ProtocolError",
-    "QueryRequest",
-    "QueryResponse",
-    "ReproServer",
-    "ResponseTooLarge",
-    "Request",
-    "RequestAPI",
-    "Response",
-    "ResultCache",
-    "RpqRequest",
-    "RpqResponse",
-    "Scheduler",
-    "ServiceClient",
-    "ServiceConfig",
-    "ServiceCore",
-    "ServiceError",
-    "ServiceMetrics",
-    "ServiceOverloaded",
-    "ShardError",
-    "ShardGroup",
-    "ShardManifest",
-    "SparqlRequest",
-    "SparqlResponse",
-    "StatsRequest",
-    "StatsResponse",
-    "StoreFrozenError",
-    "StoreUnavailableError",
-    "ValidateRequest",
-    "ValidateResponse",
-    "WIRE_VERSION",
-    "connect",
-    "open_service",
-    "parse_response",
-    "result_key",
-    "serve",
-    "shard_store",
-]
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "client": ("RequestAPI", "ServiceClient", "connect"),
+    "metrics": ("EndpointMetrics", "LatencyHistogram", "ServiceMetrics"),
+    "protocol": (
+        "WIRE_VERSION", "BatteryRequest", "BatteryResponse", "ErrorResponse",
+        "LogBatteryRequest", "LogBatteryResponse", "MutateRequest", "MutateResponse",
+        "PingRequest", "PingResponse", "QueryRequest", "QueryResponse", "Request",
+        "Response", "RpqRequest", "RpqResponse", "SparqlRequest", "SparqlResponse",
+        "StatsRequest", "StatsResponse", "ValidateRequest", "ValidateResponse",
+        "parse_response",
+    ),
+    "resultcache": ("ResultCache", "result_key"),
+    "scheduler": ("Scheduler",),
+    "server": (
+        "COMPUTE_OPS", "EmbeddedService", "ReproServer", "ServiceConfig", "ServiceCore",
+        "open_service", "serve",
+    ),
+    "shard": ("ShardGroup", "ShardManifest", "shard_store"),
+    "..errors": (
+        "BadRequest", "DeadlineExceeded", "ProtocolError", "ResponseTooLarge",
+        "ServiceError", "ServiceOverloaded", "ShardError", "StoreFrozenError",
+        "StoreUnavailableError",
+    ),
+})

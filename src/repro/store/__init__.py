@@ -10,22 +10,11 @@ and an interned string table, and
 shared read-only across worker processes.
 """
 
-from .mmapstore import (
-    MAGIC,
-    MappedTripleStore,
-    attach,
-    freeze,
-    image_fingerprint,
-    read_header,
-    write_image,
-)
+from .._exports import lazy_surface
 
-__all__ = [
-    "MAGIC",
-    "MappedTripleStore",
-    "attach",
-    "freeze",
-    "image_fingerprint",
-    "read_header",
-    "write_image",
-]
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "mmapstore": (
+        "MAGIC", "MappedTripleStore", "attach", "freeze", "image_fingerprint", "read_header",
+        "write_image",
+    ),
+})

@@ -29,16 +29,14 @@ implement ``generate``/``check``/``shrink_candidates`` plus the
 and CI smoke job pick it up by name.
 """
 
-from .oracles import ORACLES, Oracle
-from .runner import Divergence, FuzzReport, fuzz, replay
-from .shrink import shrink
+from .._exports import lazy_surface
 
-__all__ = [
-    "ORACLES",
-    "Oracle",
-    "Divergence",
-    "FuzzReport",
-    "fuzz",
-    "replay",
-    "shrink",
-]
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "cli": (),
+    "corpus": (),
+    "generators": (),
+    "oracles": ("ORACLES", "Oracle"),
+    "reference": (),
+    "runner": ("Divergence", "FuzzReport", "fuzz", "replay"),
+    "shrink": ("shrink",),
+})

@@ -21,163 +21,51 @@ Public surface:
 * Corpora: :func:`generate_corpus`, :func:`random_dtd_corpus`
 """
 
-from .automata import (
-    StreamingTreeValidator,
-    TreeAutomaton,
-    compile_schema,
-    contains_determinize,
-    schema_contains,
-    schema_equivalent,
-    universal_automaton,
-    validate_events,
-    validate_events_or_raise,
-)
-from .bonxai import PathPattern, PatternRule, PatternSchema
-from .dtd import (
-    DTD,
-    parse_dtd,
-    sgml_unordered,
-    sgml_unordered_approximation,
-    uses_any_type,
-)
-from .edtd import EDTD, validate_single_type
-from .inference import (
-    build_soa,
-    infer_chare,
-    infer_dtd,
-    infer_sore,
-    learn_increasing_k,
-    learn_k_ore,
-    soa_accepts,
-    soa_to_sore,
-)
-from .json_parser import (
-    iter_json_events,
-    json_nesting_depth,
-    json_to_tree,
-    parse_json,
-    parse_json_tree,
-)
-from .jsonschema import (
-    JSONSchema,
-    corpus_study_json_schemas,
-    random_json_schema,
-    schema_report,
-)
-from .schema_corpus import (
-    DTDCorpusProfile,
-    corpus_statistics,
-    random_dtd,
-    random_dtd_corpus,
-)
-from .streaming import (
-    StreamingDTDValidator,
-    events_of,
-    memory_bound,
-    validate_stream,
-    validate_stream_or_raise,
-)
-from .tree import Tree, TreeNode, is_broad_and_shallow
-from .xml_corpus import (
-    CorpusDocument,
-    XMLCorpus,
-    corpus_study,
-    generate_corpus,
-    inject_error,
-    random_tree,
-    serialize,
-)
-from .xml_parser import (
-    ERROR_CATEGORIES,
-    WellFormednessReport,
-    XMLError,
-    attempt_repair,
-    check_well_formedness,
-    iter_xml_events,
-    parse_xml,
-)
-from .xpath import (
-    XPathQuery,
-    axes_used,
-    is_downward,
-    is_tree_pattern,
-    syntax_size,
-)
-from .xpath_corpus import (
-    XPathGenerator,
-    XPathProfile,
-    xpath_corpus_study,
-)
+from .._exports import lazy_surface
 
-__all__ = [
-    "StreamingTreeValidator",
-    "TreeAutomaton",
-    "compile_schema",
-    "contains_determinize",
-    "schema_contains",
-    "schema_equivalent",
-    "universal_automaton",
-    "validate_events",
-    "validate_events_or_raise",
-    "iter_json_events",
-    "iter_xml_events",
-    "PathPattern",
-    "PatternRule",
-    "PatternSchema",
-    "DTD",
-    "parse_dtd",
-    "sgml_unordered",
-    "sgml_unordered_approximation",
-    "uses_any_type",
-    "EDTD",
-    "validate_single_type",
-    "build_soa",
-    "infer_chare",
-    "infer_dtd",
-    "infer_sore",
-    "learn_increasing_k",
-    "learn_k_ore",
-    "soa_accepts",
-    "soa_to_sore",
-    "json_nesting_depth",
-    "json_to_tree",
-    "parse_json",
-    "parse_json_tree",
-    "DTDCorpusProfile",
-    "corpus_statistics",
-    "random_dtd",
-    "random_dtd_corpus",
-    "StreamingDTDValidator",
-    "events_of",
-    "memory_bound",
-    "validate_stream",
-    "validate_stream_or_raise",
-    "Tree",
-    "TreeNode",
-    "is_broad_and_shallow",
-    "CorpusDocument",
-    "XMLCorpus",
-    "corpus_study",
-    "generate_corpus",
-    "inject_error",
-    "random_tree",
-    "serialize",
-    "ERROR_CATEGORIES",
-    "WellFormednessReport",
-    "XMLError",
-    "attempt_repair",
-    "check_well_formedness",
-    "parse_xml",
-    "XPathQuery",
-    "axes_used",
-    "is_downward",
-    "is_tree_pattern",
-    "syntax_size",
-    "JSONSchema",
-    "corpus_study_json_schemas",
-    "random_json_schema",
-    "schema_report",
-    "XPathGenerator",
-    "XPathProfile",
-    "xpath_corpus_study",
-]
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "automata": (
+        "StreamingTreeValidator", "TreeAutomaton", "compile_schema",
+        "contains_determinize", "schema_contains", "schema_equivalent",
+        "universal_automaton", "validate_events", "validate_events_or_raise",
+    ),
+    "bonxai": ("PathPattern", "PatternRule", "PatternSchema"),
+    "chunked": (),
+    "dtd": (
+        "DTD", "parse_dtd", "sgml_unordered", "sgml_unordered_approximation",
+        "uses_any_type",
+    ),
+    "edtd": ("EDTD", "validate_single_type"),
+    "inference": (
+        "build_soa", "infer_chare", "infer_dtd", "infer_sore", "learn_increasing_k",
+        "learn_k_ore", "soa_accepts", "soa_to_sore",
+    ),
+    "json_parser": (
+        "iter_json_events", "json_nesting_depth", "json_to_tree", "parse_json",
+        "parse_json_tree",
+    ),
+    "jsonschema": (
+        "JSONSchema", "corpus_study_json_schemas", "random_json_schema",
+        "schema_report",
+    ),
+    "schema_corpus": (
+        "DTDCorpusProfile", "corpus_statistics", "random_dtd", "random_dtd_corpus",
+    ),
+    "streaming": (
+        "StreamingDTDValidator", "events_of", "memory_bound", "validate_stream",
+        "validate_stream_or_raise",
+    ),
+    "tree": ("Tree", "TreeNode", "is_broad_and_shallow"),
+    "xml_corpus": (
+        "CorpusDocument", "XMLCorpus", "corpus_study", "generate_corpus",
+        "inject_error", "random_tree", "serialize",
+    ),
+    "xml_parser": (
+        "ERROR_CATEGORIES", "WellFormednessReport", "XMLError", "attempt_repair",
+        "check_well_formedness", "iter_xml_events", "parse_xml",
+    ),
+    "xpath": (
+        "XPathQuery", "axes_used", "is_downward", "is_tree_pattern", "syntax_size",
+    ),
+    "xpath_corpus": ("XPathGenerator", "XPathProfile", "xpath_corpus_study"),
+})

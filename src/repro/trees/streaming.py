@@ -32,7 +32,9 @@ from typing import Iterable, Iterator, Optional as Opt, Tuple
 from ..errors import ValidationError
 from .automata import StreamingTreeValidator, validate_events
 from .dtd import DTD
+from .json_parser import iter_json_events
 from .tree import Tree
+from .xml_parser import iter_xml_events
 
 Event = Tuple[str, str]
 
@@ -66,12 +68,8 @@ def events_of(
             xml = True
         format = "xml" if xml else "json"
     if format == "xml":
-        from .xml_parser import iter_xml_events
-
         return iter_xml_events(source, chunk_size=chunk_size)
     if format == "json":
-        from .json_parser import iter_json_events
-
         return iter_json_events(source, chunk_size=chunk_size)
     raise ValueError(f"unknown event-stream format {format!r}")
 

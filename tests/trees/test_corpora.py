@@ -3,6 +3,9 @@ repro.trees.xml_corpus) — the data substitutes of DESIGN.md §2."""
 
 import random
 
+import pytest
+
+from repro.errors import SchemaError
 from repro.trees.dtd import DTD
 from repro.trees.schema_corpus import (
     DTDCorpusProfile,
@@ -64,6 +67,44 @@ class TestTreeGeneration:
         tree = random_tree(dtd, rng, max_nodes=30)
         # the budget caps growth; mandatory completions may overshoot a bit
         assert tree.node_count() < 300
+
+
+class TestUnproductiveSchemas:
+    """A DTD with no finite tree is refused before any node is grown."""
+
+    def test_productive_labels_fixpoint(self):
+        dtd = DTD.from_rules(
+            {"r": "a b?", "a": "c*", "b": "b", "c": "r | d", "d": ""},
+            start=["r"],
+        )
+        # b needs a b below it forever; r, a, c, d close
+        assert dtd.productive_labels == frozenset({"r", "a", "c", "d"})
+
+    def test_hand_written_unproductive_dtd_raises(self):
+        dtd = DTD.from_rules({"r": "a", "a": "r"}, start=["r"])
+        assert dtd.productive_labels == frozenset()
+        with pytest.raises(SchemaError, match="no finite tree"):
+            random_tree(dtd, random.Random(0))
+
+    def test_reachable_unproductive_label_raises(self):
+        # r itself closes (b is optional), but the sampler may pick b
+        dtd = DTD.from_rules({"r": "a b?", "a": "", "b": "b"}, start=["r"])
+        assert "r" in dtd.productive_labels
+        with pytest.raises(SchemaError, match="b root no finite tree"):
+            random_tree(dtd, random.Random(0))
+
+    @pytest.mark.parametrize("seed", [303, 961])
+    def test_random_dtd_without_finite_tree_raises(self, seed):
+        dtd = random_dtd(random.Random(seed), DTDCorpusProfile(recursion_rate=0.3))
+        assert not dtd.start_labels <= dtd.productive_labels
+        with pytest.raises(SchemaError, match="no finite tree"):
+            random_tree(dtd, random.Random(0))
+
+    def test_productive_dtds_still_generate(self):
+        profile = DTDCorpusProfile(recursion_rate=0.3)
+        for seed in range(40):
+            dtd = random_dtd(random.Random(seed), profile)
+            assert dtd.validate(random_tree(dtd, random.Random(seed)))
 
 
 class TestSerialization:
