@@ -268,7 +268,7 @@ def random_xml_document(rng: random.Random) -> Any:
     )
 
     # no injected non-deterministic rule: it can leave a label with no
-    # finite subtree, which random_tree recurses on without end
+    # finite subtree, which random_tree refuses with a SchemaError
     profile = DTDCorpusProfile(
         num_labels_min=2, num_labels_max=6, nondeterministic_rate=0.0
     )
