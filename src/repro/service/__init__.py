@@ -13,10 +13,10 @@ a *sharded deployment*: a directory of per-shard images written by
 :func:`shard_store`, attached zero-copy by a pool of worker processes
 and evaluated scatter-gather by :class:`ShardGroup` — with a
 pruned, round-barrier frontier exchange for multi-shard RPQs and
-owners()-routed SPARQL evaluation (the ``query`` op) against the shard images.  All
-messages are typed wire-v2 dataclasses (:class:`RpqRequest` …
-:class:`StatsResponse`); the pre-typed v1 dict encoding is rejected
-with an upgrade hint.
+SPARQL evaluation (the ``query`` op) on a coordinator-side union of the
+predicates each query reads.  All messages are typed wire-v2
+dataclasses (:class:`RpqRequest` … :class:`StatsResponse`); the
+pre-typed v1 dict encoding is rejected with an upgrade hint.
 
 Public surface:
 

@@ -302,8 +302,8 @@ class SparqlRequest(Request):
 class QueryRequest(Request):
     """Evaluate a SPARQL query against a named store (operation
     ``query``) — full evaluation, unlike :class:`SparqlRequest` which
-    only parses and analyzes the text.  On a sharded store the pattern
-    accesses are owners()-routed through the shard images."""
+    only parses and analyzes the text.  On a sharded store the query
+    evaluates on the coordinator's union of the predicates it reads."""
 
     op: ClassVar[str] = "query"
     store: str = ""

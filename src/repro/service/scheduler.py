@@ -30,7 +30,7 @@ only frames, routes, and accounts.  Three policies, in order:
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, Optional as Opt, Tuple
 
 from ..errors import DeadlineExceeded, ServiceOverloaded
@@ -44,9 +44,7 @@ class Scheduler:
     """The admission-controlled bridge onto a worker pool.
 
     One scheduler belongs to one event loop (its semaphore binds to the
-    loop on first use).  ``executor`` may be an externally managed
-    :class:`~concurrent.futures.Executor` shared across services; by
-    default the scheduler owns a thread pool sized to ``max_workers``
+    loop on first use).  It owns a thread pool sized to ``max_workers``
     and shuts it down on :meth:`close`.
     """
 
@@ -54,7 +52,6 @@ class Scheduler:
         self,
         max_workers: int = DEFAULT_MAX_WORKERS,
         max_queue: int = DEFAULT_MAX_QUEUE,
-        executor: Opt[Executor] = None,
     ):
         if max_workers < 1:
             raise ValueError("max_workers must be positive")
@@ -62,8 +59,7 @@ class Scheduler:
             raise ValueError("max_queue must be >= 0")
         self.max_workers = max_workers
         self.max_queue = max_queue
-        self._own_executor = executor is None
-        self._executor = executor or ThreadPoolExecutor(
+        self._executor = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-service"
         )
         self._slots = asyncio.Semaphore(max_workers)
@@ -222,10 +218,9 @@ class Scheduler:
             future.set_result(result)
 
     def close(self) -> None:
-        """Shut down an owned pool without waiting for stragglers
+        """Shut down the pool without waiting for stragglers
         (overrunning threads finish on their own)."""
-        if self._own_executor:
-            self._executor.shutdown(wait=False)
+        self._executor.shutdown(wait=False)
 
 
 def _retrieve_exception(future: asyncio.Future) -> None:

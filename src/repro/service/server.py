@@ -23,11 +23,9 @@ Operations
   features, operator set, triple count);
 * ``query`` — *full evaluation* of one SPARQL query against a
   registered store (SELECT rows, ASK boolean, CONSTRUCT/DESCRIBE
-  triples).  On a sharded store the evaluator's pattern accesses run
-  through the :class:`~repro.service.shard.ShardPatternExecutor`:
-  concrete-predicate patterns read their owner shard's image directly
-  (``ShardManifest.owners()`` routing) instead of gathering a union
-  store;
+  triples).  On a sharded store the query evaluates on the group's
+  coordinator-side union (:meth:`~repro.service.shard.ShardGroup.union_store`),
+  loaded with just the predicates the query reads;
 * ``log`` — the full per-query log-battery record
   (:func:`~repro.logs.battery.analyze_query_fused`, shipped in its
   JSON-able :func:`~repro.logs.analyzer.encode_analysis` form — the
@@ -162,7 +160,7 @@ from ..sparql.features import (
     operator_set,
     query_features,
 )
-from ..sparql.evaluation import Evaluator, _as_node
+from ..sparql.evaluation import Evaluator, _as_node, query_predicates
 from ..sparql.parser import parse_query
 from ..sparql.serialize import serialize_query
 from .client import RequestAPI, connect
@@ -304,7 +302,6 @@ class ServiceCore:
         self,
         stores: Opt[Dict[str, StoreSpec]] = None,
         config: Opt[ServiceConfig] = None,
-        executor=None,
     ):
         self.config = config or ServiceConfig()
         self.stores: Dict[str, Union[TripleStore, ShardGroup]] = {
@@ -317,7 +314,6 @@ class ServiceCore:
         self.scheduler = Scheduler(
             max_workers=self.config.max_workers,
             max_queue=self.config.max_queue,
-            executor=executor,
         )
         self.cache = ResultCache(self.config.cache_entries)
         self.metrics = ServiceMetrics()
@@ -761,8 +757,9 @@ class ServiceCore:
 
     def _prepare_query(self, params: Dict[str, Any]):
         """Full SPARQL evaluation against a registered store.  Sharded
-        stores evaluate through the group's owners()-routed
-        :class:`~repro.service.shard.ShardPatternExecutor`; local stores
+        stores evaluate on the group's coordinator-side union, loaded
+        with the predicates :func:`~repro.sparql.evaluation.query_predicates`
+        names (all of them when it returns ``None``); local stores
         evaluate under the store's read gate.  SELECT rows are shipped
         in canonical (sorted-JSON) order *after* solution modifiers, so
         the payload is deterministic and cache keys are deployment-
@@ -790,10 +787,9 @@ class ServiceCore:
 
             def run():
                 if sharded:
-                    evaluator = Evaluator(None, executor=store.executor())
-                else:
-                    evaluator = Evaluator(store)
-                return evaluator.evaluate(query)
+                    union = store.union_store(query_predicates(query))
+                    return Evaluator(union).evaluate(query)
+                return Evaluator(store).evaluate(query)
 
             try:
                 result = run() if sharded else gate.read(run)
@@ -975,9 +971,8 @@ class EmbeddedService(RequestAPI):
         self,
         stores: Opt[Dict[str, StoreSpec]] = None,
         config: Opt[ServiceConfig] = None,
-        executor=None,
     ):
-        self.core = ServiceCore(stores, config, executor)
+        self.core = ServiceCore(stores, config)
         self._ids = itertools.count(1)
 
     async def request_message(

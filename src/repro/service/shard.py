@@ -31,12 +31,11 @@ closes the loop:
   decides which state bits are new.  Log batteries scatter
   ``(key, text, multiplicity)`` chunks over the workers, one per shard,
   reusing :func:`~repro.logs.pipeline.run_study`'s dedup and merge.
-* :class:`ShardPatternExecutor` gives the SPARQL evaluator the same
-  owners() routing: concrete-predicate triple patterns and path steps
-  read the owner shard's image directly (coordinator-side zero-copy
-  attach — the pages are already mapped by the shard's workers), and
-  variable-predicate scans union per-predicate owner reads, so ``query``
-  requests never build a union store.
+* :meth:`ShardGroup.union_store` is one coordinator-side
+  :class:`~repro.graphs.rdf.TripleStore` grown a predicate at a time
+  from the mapped shard images (zero-copy reads, no worker round trip).
+  Full SPARQL evaluation (the ``query`` op) runs on it, loading the
+  predicates :func:`~repro.sparql.evaluation.query_predicates` names.
 
 The exchange is *payload-aware* and runs in barrier rounds:
 
@@ -69,9 +68,8 @@ by independent worker processes compose; DFA state numbers are a
 process-local artifact and never leave a worker.
 
 Simple-path and trail searches whose expression spans several shards
-run on the coordinator, over one union store grown a predicate at a
-time from the coordinator-side mappings (see
-:meth:`ShardGroup._union_store`): the DFS needs global used-node /
+run on the coordinator, over the same union store (see
+:meth:`ShardGroup.union_store`): the DFS needs global used-node /
 used-edge state, and reading the mapped images costs no worker round
 trip.
 
@@ -104,10 +102,10 @@ from pathlib import Path
 from typing import (
     Any,
     Callable,
+    Collection,
     Dict,
     FrozenSet,
     Iterable,
-    Iterator,
     List,
     Optional as Opt,
     Sequence,
@@ -121,7 +119,6 @@ from ..graphs.rdf import TripleStore, combine_content
 from ..logs.analyzer import LogReport
 from ..logs.pipeline import _ingest, _merge_study, _study_worker
 from ..regex.parser import parse as parse_regex
-from ..sparql.evaluation import PatternExecutor
 
 #: manifest format version (bump on incompatible layout changes)
 MANIFEST_FORMAT = 1
@@ -586,14 +583,13 @@ class ShardGroup:
             for shard in range(self.manifest.shards)
         ]
         self._node_names: Opt[List[str]] = None
-        #: the multi-shard simple/trail union and the predicates loaded
-        #: into it, published together (see :meth:`_union_store`)
+        #: the coordinator-side union and the predicates loaded into it,
+        #: published together (see :meth:`union_store`)
         self._union: Tuple[TripleStore, FrozenSet[str]] = (
             TripleStore(),
             frozenset(),
         )
         self._mapped: List[Opt[Any]] = [None] * self.manifest.shards
-        self._executor: Opt["ShardPatternExecutor"] = None
 
     # -- identity ----------------------------------------------------------------
 
@@ -698,10 +694,9 @@ class ShardGroup:
     def _shard_mapped(self, shard: int):
         """The shard's image mapped into *this* process (zero-copy; the
         physical pages are shared with the shard's worker processes).
-        Scatter pruning bisects its CSR adjacency keys,
-        :class:`ShardPatternExecutor` serves owners()-routed SPARQL
-        reads from it, and :meth:`_union_store` loads predicates from
-        it, all without an IPC round trip.
+        Scatter pruning bisects its CSR adjacency keys and
+        :meth:`union_store` loads predicates from it, both without an
+        IPC round trip.
 
         The per-process :func:`~repro.store.mmapstore.attach` cache owns
         the mapping — several groups over one directory share it, so
@@ -713,13 +708,6 @@ class ShardGroup:
             mapped = attach(self.manifest.image_path(shard))
             self._mapped[shard] = mapped
         return mapped
-
-    def executor(self) -> "ShardPatternExecutor":
-        """The group's owners()-routed SPARQL pattern executor (one per
-        group; the underlying shard images are frozen)."""
-        if self._executor is None:
-            self._executor = ShardPatternExecutor(self)
-        return self._executor
 
     # -- calls with failover -----------------------------------------------------
 
@@ -1074,18 +1062,21 @@ class ShardGroup:
                     forbid_nodes,
                 )
             )
-        union = self._union_store(predicates)
+        union = self.union_store(predicates)
         return bool(plan.search(union, source, target, forbid_nodes))
 
-    def _union_store(self, predicates: List[str]) -> TripleStore:
+    def union_store(
+        self, predicates: Opt[Collection[str]] = None
+    ) -> TripleStore:
         """A coordinator-side store holding every edge of ``predicates``
-        (simple/trail DFS needs global used-node/used-edge state, which
-        does not decompose over shards).
+        (all of the source store's when ``None``): simple/trail DFS
+        needs global used-node/used-edge state, which does not
+        decompose over shards, and full SPARQL evaluation reads it.
 
-        One union serves every expression: it grows one predicate at a
+        One union serves every caller: it grows one predicate at a
         time from the owner shard's coordinator-side mapping (zero-copy
         reads, no worker round trip), and holds at most the source
-        store's predicates.  The search only walks the expression's own
+        store's predicates.  A search or a query reads only its own
         predicates, so edges of other loaded predicates change no
         answer.  Shard edge sets are disjoint, so trail edge-multiplicity
         is preserved.  Growth copies the published store under the group
@@ -1093,12 +1084,14 @@ class ShardGroup:
         concurrent search never sees a store being mutated or a
         predicate set paired with an older store.  The images are
         frozen, so nothing ever invalidates it."""
+        if predicates is None:
+            predicates = self.manifest.predicates
         union, loaded = self._union
         if loaded.issuperset(predicates):
             return union
         with self._lock:
             union, loaded = self._union
-            missing = [p for p in predicates if p not in loaded]
+            missing = sorted(p for p in predicates if p not in loaded)
             if missing:
                 union = TripleStore(union.triples())
                 for predicate in missing:
@@ -1142,92 +1135,3 @@ class ShardGroup:
             ]
         )
         return _merge_study(source, total, len(order), partials)
-
-
-class ShardPatternExecutor(PatternExecutor):
-    """Owners()-routed SPARQL data surface over a :class:`ShardGroup`.
-
-    Every concrete-predicate access goes straight to the shard that
-    owns the predicate — through the coordinator-side zero-copy mapping
-    of that shard's image, so pattern evaluation pays neither an IPC
-    round trip nor a copy into the union store the existence queries
-    use.  Variable-predicate accesses union over the owner shards in
-    deterministic (shard, predicate) order.  Shard images partition the
-    source store's triples exactly, so the union *is* the source store.
-    """
-
-    def __init__(self, group: "ShardGroup"):
-        self.group = group
-        # no single backing store — the base class attribute stays
-        # unset on purpose so any accidental direct use fails loudly
-        self.store = None
-
-    def _owner_mapped(self, predicate: str):
-        """The owner shard's coordinator-side mapping, or ``None`` for
-        a predicate the source store never contained."""
-        shard = self.group.manifest.predicates.get(predicate)
-        if shard is None:
-            return None
-        return self.group._shard_mapped(shard)
-
-    def _shards(self) -> List[int]:
-        return list(range(self.group.manifest.shards))
-
-    def scan(
-        self, s: Opt[str], p: Opt[str], o: Opt[str]
-    ) -> Iterator[Tuple[str, str, str]]:
-        if p is None:
-            for predicate in sorted(self.group.manifest.predicates):
-                yield from self.scan(s, predicate, o)
-            return
-        mapped = self._owner_mapped(p)
-        if mapped is None:
-            return
-        if s is not None:
-            targets = mapped.successors(s, p)
-            if o is not None:
-                if o in targets:
-                    yield (s, p, o)
-                return
-            for target in sorted(targets):
-                yield (s, p, target)
-            return
-        if o is not None:
-            for source in sorted(mapped.predecessors(o, p)):
-                yield (source, p, o)
-            return
-        # both ends free: hydration-free CSR scan of the owner image
-        yield from mapped.triples(None, p, None)
-
-    def successors(self, node: str, predicate: str) -> FrozenSet[str]:
-        mapped = self._owner_mapped(predicate)
-        if mapped is None:
-            return frozenset()
-        return mapped.successors(node, predicate)
-
-    def predecessors(self, node: str, predicate: str) -> FrozenSet[str]:
-        mapped = self._owner_mapped(predicate)
-        if mapped is None:
-            return frozenset()
-        return mapped.predecessors(node, predicate)
-
-    def out_edges(self, node: str) -> Iterator[Tuple[str, str]]:
-        for shard in self._shards():
-            mapped = self.group._shard_mapped(shard)
-            if mapped.node_id(node) is None:
-                continue
-            for predicate in mapped.predicate_names():
-                for target in sorted(mapped.successors(node, predicate)):
-                    yield (predicate, target)
-
-    def in_edges(self, node: str) -> Iterator[Tuple[str, str]]:
-        for shard in self._shards():
-            mapped = self.group._shard_mapped(shard)
-            if mapped.node_id(node) is None:
-                continue
-            for predicate in mapped.predicate_names():
-                for source in sorted(mapped.predecessors(node, predicate)):
-                    yield (predicate, source)
-
-    def nodes(self) -> FrozenSet[str]:
-        return frozenset(self.group.node_names())

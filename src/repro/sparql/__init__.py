@@ -5,7 +5,8 @@ Public surface:
 
 * Model: :mod:`repro.sparql.ast`, :mod:`repro.sparql.paths_ast`
 * Parsing: :func:`parse_query`
-* Evaluation: :class:`Evaluator`, :func:`evaluate`
+* Evaluation: :class:`Evaluator`, :func:`evaluate`,
+  :func:`query_predicates`
 * Analyses: :func:`query_features`, :func:`operator_set`,
   :func:`count_triple_patterns`, :func:`is_cq`, :func:`is_cq_f`,
   :func:`is_c2rpq_f`, :func:`is_well_designed`, :func:`is_well_behaved`,
@@ -24,7 +25,7 @@ __getattr__, __dir__, __all__ = lazy_surface(__name__, {
         "Query", "Service", "SolutionModifier", "SubQuery", "TermExpr", "TriplePattern",
         "Union", "Values", "Var",
     ),
-    "evaluation": ("Evaluator", "evaluate"),
+    "evaluation": ("Evaluator", "evaluate", "query_predicates"),
     "features": (
         "TABLE3_FEATURES", "count_triple_patterns", "filter_constraints", "is_c2rpq",
         "is_c2rpq_f", "is_cq", "is_cq_f", "is_opt_fragment", "is_safe_filter",

@@ -6,9 +6,11 @@ Semantics follow Pérez, Arenas & Gutiérrez: solutions are partial
 mappings from variables to RDF terms; ``And`` is the compatible join,
 ``Optional`` the left outer join (the operator whose unrestricted use
 makes Evaluation PSPACE-complete), ``Union`` the bag union, ``Filter``
-a selection, ``Minus`` the SPARQL 1.1 anti-join.  Property paths are
-evaluated through :mod:`repro.graphs.paths` (walk semantics, as the
-standard prescribes), with negated property sets handled natively.
+a selection, ``Minus`` the SPARQL 1.1 anti-join.  Property paths run on
+the compiled RPQ engine (:func:`~repro.graphs.paths.evaluate_rpq`, walk
+semantics, as the standard prescribes): a negated property set expands
+to the store predicates it admits (see
+:func:`~repro.sparql.paths_ast.path_to_regex`).
 
 Filter expressions implement the practically dominant builtins
 (comparisons, logical connectives, arithmetic, ``bound``, ``lang``,
@@ -22,11 +24,11 @@ callback (there is no network in a library); without one it raises
 from __future__ import annotations
 
 import re as _re
-from typing import Callable, Dict, Iterable, Iterator, List, Optional as Opt
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional as Opt
 
 from ..errors import UnsupportedFeatureError
+from ..graphs.paths import evaluate_rpq
 from ..graphs.rdf import TripleStore
-from ..regex.automata import glushkov
 from .ast import (
     And,
     Bind,
@@ -55,7 +57,7 @@ from .ast import (
     Values,
     Var,
 )
-from .paths_ast import path_to_regex
+from .paths_ast import PathInverse, PathNegatedSet, path_to_regex
 
 Solution = Dict[str, object]  # variable name -> term value (str or Literal)
 
@@ -102,8 +104,6 @@ def _pattern_slot(term, solution: Solution):
 
 def _as_node(value) -> str:
     """Node id used in the store for a grounded value."""
-    if isinstance(value, Literal):
-        return str(value)
     return str(value)
 
 
@@ -138,67 +138,17 @@ def _compatible(left: Solution, right: Solution) -> Opt[Solution]:
     return merged
 
 
-class PatternExecutor:
-    """The ground data accesses pattern evaluation performs, as one
-    replaceable surface.
-
-    The :class:`Evaluator` never touches a store directly — every
-    triple scan, path step, and node enumeration goes through its
-    executor.  The default implementation answers from one
-    :class:`~repro.graphs.rdf.TripleStore`; the sharded service
-    subclasses it (``repro.service.shard.ShardPatternExecutor``) to
-    route each concrete-predicate access to the shard that *owns* the
-    predicate (``ShardManifest.owners()``) instead of gathering a union
-    store, and to union variable-predicate scans over the owner shards.
-    """
-
-    def __init__(self, store: TripleStore):
-        self.store = store
-
-    def scan(
-        self, s: Opt[str], p: Opt[str], o: Opt[str]
-    ) -> Iterable[tuple]:
-        """All ``(subject, predicate, object)`` triples matching the
-        grounded slots (``None`` = free)."""
-        return self.store.triples(s, p, o)
-
-    def successors(self, node: str, predicate: str) -> Iterable[str]:
-        return self.store.successors(node, predicate)
-
-    def predecessors(self, node: str, predicate: str) -> Iterable[str]:
-        return self.store.predecessors(node, predicate)
-
-    def out_edges(self, node: str) -> Iterable[tuple]:
-        """``(predicate, target)`` pairs leaving ``node``."""
-        return self.store.out_edges(node)
-
-    def in_edges(self, node: str) -> Iterable[tuple]:
-        """``(predicate, source)`` pairs entering ``node``."""
-        return self.store.in_edges(node)
-
-    def nodes(self) -> Iterable[str]:
-        return self.store.nodes()
-
-
 class Evaluator:
-    """Evaluates patterns and whole queries over a triple store (or,
-    via an explicit ``executor``, over whatever data surface answers
-    the :class:`PatternExecutor` protocol)."""
+    """Evaluates patterns and whole queries over a triple store."""
 
     def __init__(
         self,
-        store: Opt[TripleStore],
+        store: TripleStore,
         service_resolver: Opt[
             Callable[[str, Pattern], List[Solution]]
         ] = None,
-        executor: Opt[PatternExecutor] = None,
     ):
-        if store is None and executor is None:
-            raise ValueError("an Evaluator needs a store or an executor")
         self.store = store
-        self.executor = (
-            executor if executor is not None else PatternExecutor(store)
-        )
         self.service_resolver = service_resolver
 
     # -- pattern evaluation ------------------------------------------------------
@@ -217,10 +167,7 @@ class Evaluator:
                 out.extend(self._match_triple(pattern, solution))
             return out
         if isinstance(pattern, PathPattern):
-            out = []
-            for solution in inputs:
-                out.extend(self._match_path(pattern, solution))
-            return out
+            return self._match_path(pattern, inputs)
         if isinstance(pattern, And):
             return self._eval(pattern.right, self._eval(pattern.left, inputs))
         if isinstance(pattern, UnionPattern):
@@ -334,7 +281,7 @@ class Evaluator:
         s = _pattern_slot(pattern.subject, solution)
         p = _pattern_slot(pattern.predicate, solution)
         o = _pattern_slot(pattern.object, solution)
-        for subject, predicate, obj in self.executor.scan(s, p, o):
+        for subject, predicate, obj in self.store.triples(s, p, o):
             step1 = _bind_term(pattern.subject, subject, solution)
             if step1 is None:
                 continue
@@ -346,71 +293,45 @@ class Evaluator:
                 yield step3
 
     def _match_path(
-        self, pattern: PathPattern, solution: Solution
-    ) -> Iterator[Solution]:
-        expr = path_to_regex(pattern.path)
-        nfa = glushkov(expr)
-        source_value = _pattern_slot(pattern.subject, solution)
-        target_value = _pattern_slot(pattern.object, solution)
-        sources = (
-            [source_value]
-            if source_value is not None
-            else sorted(self.executor.nodes())
-        )
-        start_states = nfa.epsilon_closure(nfa.initial)
-        for source in sources:
-            seen = {(source, state) for state in start_states}
-            queue = list(seen)
-            reached = set()
-            if start_states & nfa.finals:
-                reached.add(source)
-            while queue:
-                node, state = queue.pop()
-                for label, targets in nfa.transitions[state].items():
-                    for next_node in self._path_step(node, label):
-                        for next_state in targets:
-                            item = (next_node, next_state)
-                            if item in seen:
-                                continue
-                            seen.add(item)
-                            queue.append(item)
-                            if next_state in nfa.finals:
-                                reached.add(next_node)
-            for target in sorted(reached):
-                if target_value is not None and target != target_value:
-                    continue
-                step1 = _bind_term(pattern.subject, source, solution)
-                if step1 is None:
-                    continue
-                step2 = _bind_term(pattern.object, target, step1)
-                if step2 is not None:
-                    yield step2
+        self, pattern: PathPattern, inputs: List[Solution]
+    ) -> List[Solution]:
+        """Property-path matches on the compiled RPQ engine: walks from
+        the bound subject, else back from the bound object, else over
+        all pairs.  Per solution, rows come in (subject, object) order.
 
-    def _path_step(self, node: str, label: str) -> Iterable[str]:
-        if label.startswith("!"):
-            body = label[1:]
-            forbidden_forward = set()
-            forbidden_inverse = set()
-            for atom in body.split("|"):
-                if atom.startswith("^"):
-                    forbidden_inverse.add(atom[1:])
-                else:
-                    forbidden_forward.add(atom)
-            out = set()
-            for predicate, target in self.executor.out_edges(node):
-                if predicate not in forbidden_forward:
-                    out.add(target)
-            for predicate, source in self.executor.in_edges(node):
-                if f"{predicate}" in forbidden_inverse:
-                    continue
-                if forbidden_inverse:
-                    out.add(source)
-            # per spec, inverse candidates only arise when the set
-            # mentions inverse atoms
-            return out
-        if label.startswith("^"):
-            return self.executor.predecessors(node, label[1:])
-        return self.executor.successors(node, label)
+        As SPARQL 1.1 defines zero-length paths, a nullable path matches
+        every store node and every bound end, in the store or not, to
+        itself."""
+        predicates = self.store.predicates()
+        forward = path_to_regex(pattern.path, predicates)
+        backward = None
+        out: List[Solution] = []
+        for solution in inputs:
+            source = _pattern_slot(pattern.subject, solution)
+            target = _pattern_slot(pattern.object, solution)
+            if source is None and target is not None:
+                if backward is None:
+                    backward = path_to_regex(
+                        PathInverse(pattern.path), predicates
+                    )
+                pairs = {
+                    (s, o)
+                    for o, s in evaluate_rpq(self.store, backward, [target])
+                }
+            else:
+                pairs = evaluate_rpq(
+                    self.store,
+                    forward,
+                    None if source is None else [source],
+                    None if target is None else [target],
+                )
+            for subject, obj in sorted(pairs):
+                step = _bind_term(pattern.subject, subject, solution)
+                if step is not None:
+                    step = _bind_term(pattern.object, obj, step)
+                if step is not None:
+                    out.append(step)
+        return out
 
     # -- expression evaluation -----------------------------------------------------
 
@@ -422,8 +343,7 @@ class Evaluator:
 
     def _value(self, expression: Expression, solution: Solution):
         if isinstance(expression, TermExpr):
-            value = _term_value(expression.term, solution)
-            return _coerce(value)
+            return _term_value(expression.term, solution)
         if isinstance(expression, Comparison):
             return self._compare(expression, solution)
         if isinstance(expression, BoolExpr):
@@ -747,17 +667,12 @@ class Evaluator:
                         if term.name in solution:
                             nodes.append(_as_node(solution[term.name]))
             for node in nodes:
-                for s, p, o in self.executor.scan(node, None, None):
+                for s, p, o in self.store.triples(node, None, None):
                     result.add(s, p, o)
             return result
         raise UnsupportedFeatureError(
             f"unknown query type {query.query_type}"
         )
-
-
-def _coerce(value):
-    """Literal -> number when it looks numeric (for filter arithmetic)."""
-    return value
 
 
 _NODE_LITERAL_RE = _re.compile(
@@ -815,6 +730,60 @@ def _numeric(value) -> float:
             except ValueError as exc:
                 raise _EvalError(str(exc)) from exc
     raise _EvalError(f"not numeric: {value!r}")
+
+
+def query_predicates(query: Query) -> Opt[FrozenSet[str]]:
+    """The store predicates evaluating ``query`` reads, or ``None`` when
+    its answer may depend on the whole store: a variable predicate, a
+    negated property set (it reads the vocabulary), a nullable path (its
+    zero-length match reads the node set), DESCRIBE (it reads every
+    triple of a node), and an EXISTS or sub-query (whose patterns this
+    walk does not enter).
+
+    Any store holding all triples of these predicates answers the query
+    as the full store does; the sharded ``query`` op evaluates on a
+    union of just them."""
+    if query.query_type == "DESCRIBE":
+        return None
+    expressions = [p.expression for p in query.projections]
+    expressions += query.modifier.group_by + query.modifier.having
+    expressions += [c.expression for c in query.modifier.order_by]
+    out = set()
+    for node in query.pattern.walk():
+        if isinstance(node, SubQuery):
+            return None
+        if isinstance(node, Filter):
+            expressions.append(node.constraint)
+        elif isinstance(node, Bind):
+            expressions.append(node.expression)
+        elif isinstance(node, TriplePattern):
+            if not isinstance(node.predicate, IRI):
+                return None
+            out.add(node.predicate.value)
+        elif isinstance(node, PathPattern):
+            path = node.path
+            if path_to_regex(path, ()).nullable or any(
+                isinstance(step, PathNegatedSet) for step in path.walk()
+            ):
+                return None
+            out |= path.iris()
+    if any(_mentions_exists(e) for e in expressions):
+        return None
+    return frozenset(out)
+
+
+def _mentions_exists(expression) -> bool:
+    if isinstance(expression, ExistsExpr):
+        return True
+    if isinstance(expression, Comparison):
+        return _mentions_exists(expression.left) or _mentions_exists(
+            expression.right
+        )
+    if isinstance(expression, BoolExpr):
+        return any(_mentions_exists(e) for e in expression.operands)
+    if isinstance(expression, FunctionCall):
+        return any(_mentions_exists(e) for e in expression.args)
+    return False
 
 
 def evaluate(store: TripleStore, query: Query, **kwargs):

@@ -6,15 +6,15 @@ operators: ``/`` (sequence), ``|`` (alternative), ``^`` (inverse),
 
 The AST here is separate from :mod:`repro.regex.ast` because paths have
 graph-specific atoms (inverse and negated sets); :func:`path_to_regex`
-bridges to the word-level machinery (inverse atoms become ``^iri``
-symbols, negated sets become reserved ``!…`` symbols that only the
-path evaluator interprets).
+bridges to the word-level machinery the compiled RPQ engine runs:
+inverse atoms become ``^iri`` symbols, and a negated set becomes the
+union of the store predicates it admits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterator, List, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, Tuple
 
 from ..regex.ast import (
     Regex,
@@ -186,48 +186,56 @@ class PathNegatedSet(PropertyPath):
             return f"!{atoms[0]}"
         return "!(" + "|".join(atoms) + ")"
 
-    def word_symbol(self) -> str:
-        """The reserved regex symbol encoding this atom (see the path
-        evaluator)."""
-        return "!" + "|".join(
-            list(self.forward) + [f"^{iri}" for iri in self.inverse]
-        )
 
-
-def path_to_regex(path: PropertyPath) -> Regex:
+def path_to_regex(path: PropertyPath, predicates: Iterable[str]) -> Regex:
     """Translate a property path to a word regex over atom symbols.
 
-    Atoms map to their IRI, inverse atoms to ``^iri``, negated sets to a
-    reserved ``!…`` symbol.  Inverse of a composite path is pushed down
-    by the usual rewriting (reverse of a sequence is the reversed
-    sequence of reversed parts).
+    Atoms map to their IRI and inverse atoms to ``^iri``.  A negated set
+    ``!(F|^I)`` is ``!(F)|^!(I)``, as SPARQL 1.1 translates it, each half
+    present only when its list is non-empty: the union of the
+    ``predicates`` outside ``F`` and of the ``^p`` atoms for the
+    ``predicates`` outside ``I`` (the empty language when nothing is
+    left).  Inverse of a composite path is pushed down by the usual
+    rewriting (reverse of a sequence is the reversed sequence of
+    reversed parts).
     """
-    return _to_regex(path, inverted=False)
+    return _to_regex(path, False, sorted(set(predicates)))
 
 
-def _to_regex(path: PropertyPath, inverted: bool) -> Regex:
+def _to_regex(
+    path: PropertyPath, inverted: bool, vocabulary: List[str]
+) -> Regex:
     if isinstance(path, PathAtom):
         return Symbol(f"^{path.iri}" if inverted else path.iri)
     if isinstance(path, PathInverse):
-        return _to_regex(path.child, not inverted)
+        return _to_regex(path.child, not inverted, vocabulary)
     if isinstance(path, PathSequence):
-        parts = [_to_regex(p, inverted) for p in path.parts]
+        parts = [_to_regex(p, inverted, vocabulary) for p in path.parts]
         if inverted:
             parts.reverse()
         return smart_concat(*parts)
     if isinstance(path, PathAlternative):
-        return smart_union(*[_to_regex(p, inverted) for p in path.parts])
+        return smart_union(
+            *[_to_regex(p, inverted, vocabulary) for p in path.parts]
+        )
     if isinstance(path, PathStar):
-        return smart_star(_to_regex(path.child, inverted))
+        return smart_star(_to_regex(path.child, inverted, vocabulary))
     if isinstance(path, PathPlus):
-        return smart_plus(_to_regex(path.child, inverted))
+        return smart_plus(_to_regex(path.child, inverted, vocabulary))
     if isinstance(path, PathOptional):
-        return smart_optional(_to_regex(path.child, inverted))
+        return smart_optional(_to_regex(path.child, inverted, vocabulary))
     if isinstance(path, PathNegatedSet):
+        forward, backward = path.forward, path.inverse
         if inverted:
-            flipped = PathNegatedSet(path.inverse, path.forward)
-            return Symbol(flipped.word_symbol())
-        return Symbol(path.word_symbol())
+            forward, backward = backward, forward
+        atoms = []
+        if forward:
+            atoms += [Symbol(p) for p in vocabulary if p not in forward]
+        if backward:
+            atoms += [
+                Symbol(f"^{p}") for p in vocabulary if p not in backward
+            ]
+        return smart_union(*atoms)
     raise TypeError(f"unknown path node {path!r}")
 
 

@@ -27,6 +27,17 @@ from ..regex.ast import (
     Symbol,
     Union,
 )
+from ..sparql.paths_ast import (
+    PathAlternative,
+    PathAtom,
+    PathInverse,
+    PathNegatedSet,
+    PathOptional,
+    PathPlus,
+    PathSequence,
+    PathStar,
+    PropertyPath,
+)
 
 Event = Tuple[str, str]
 
@@ -500,6 +511,116 @@ def random_store_writes(
             present.append(triple)
         batches.append(batch)
     return batches
+
+
+# ---------------------------------------------------------------------------
+# SPARQL property paths and their corpus encoding
+# ---------------------------------------------------------------------------
+
+_PATH_NODES = tuple(f"<n{i}>" for i in range(5))
+_PATH_PREDICATES = ("<p>", "<q>", "<r>")
+#: path atoms: the store's predicates plus one it never contains
+_PATH_IRIS = _PATH_PREDICATES + ("<s>",)
+
+
+def path_to_json(path: PropertyPath) -> list:
+    if isinstance(path, PathAtom):
+        return ["atom", path.iri]
+    if isinstance(path, PathInverse):
+        return ["inv", path_to_json(path.child)]
+    if isinstance(path, PathSequence):
+        return ["seq"] + [path_to_json(p) for p in path.parts]
+    if isinstance(path, PathAlternative):
+        return ["alt"] + [path_to_json(p) for p in path.parts]
+    if isinstance(path, PathStar):
+        return ["star", path_to_json(path.child)]
+    if isinstance(path, PathPlus):
+        return ["plus", path_to_json(path.child)]
+    if isinstance(path, PathOptional):
+        return ["opt", path_to_json(path.child)]
+    if isinstance(path, PathNegatedSet):
+        return ["nps", list(path.forward), list(path.inverse)]
+    raise TypeError(f"cannot encode path node {path!r}")
+
+
+def path_from_json(obj: list) -> PropertyPath:
+    tag = obj[0]
+    if tag == "atom":
+        return PathAtom(obj[1])
+    if tag == "inv":
+        return PathInverse(path_from_json(obj[1]))
+    if tag == "seq":
+        return PathSequence(tuple(path_from_json(p) for p in obj[1:]))
+    if tag == "alt":
+        return PathAlternative(tuple(path_from_json(p) for p in obj[1:]))
+    if tag == "star":
+        return PathStar(path_from_json(obj[1]))
+    if tag == "plus":
+        return PathPlus(path_from_json(obj[1]))
+    if tag == "opt":
+        return PathOptional(path_from_json(obj[1]))
+    if tag == "nps":
+        return PathNegatedSet(tuple(obj[1]), tuple(obj[2]))
+    raise ValueError(f"unknown path tag {tag!r}")
+
+
+def random_property_path(rng: random.Random, depth: int) -> PropertyPath:
+    """A random path tree: atoms, ``^``, sequences, alternatives,
+    ``*``/``+``/``?`` and negated sets with forward and/or inverse
+    atoms."""
+    if depth <= 0 or rng.random() < 0.2:
+        if rng.random() < 0.25:
+            forward = rng.sample(_PATH_IRIS, rng.randrange(0, 3))
+            inverse = rng.sample(
+                _PATH_IRIS, rng.randrange(0 if forward else 1, 3)
+            )
+            return PathNegatedSet(tuple(forward), tuple(inverse))
+        return PathAtom(rng.choice(_PATH_IRIS))
+    kind = rng.randrange(6)
+    if kind in (0, 1):
+        parts = tuple(
+            random_property_path(rng, depth - 1)
+            for _ in range(rng.randrange(2, 4))
+        )
+        return PathSequence(parts) if kind == 0 else PathAlternative(parts)
+    child = random_property_path(rng, depth - 1)
+    return (PathInverse, PathStar, PathPlus, PathOptional)[kind - 2](child)
+
+
+def random_path_case(rng: random.Random) -> Dict[str, Any]:
+    """A small ``<…>`` store, a random property path, and its two ends:
+    each a variable (possibly the same one), a store node, or a node the
+    store does not contain."""
+    node_pool = _PATH_NODES[: rng.randrange(2, len(_PATH_NODES) + 1)]
+    triples = sorted(
+        {
+            (
+                rng.choice(node_pool),
+                rng.choice(_PATH_PREDICATES),
+                rng.choice(node_pool),
+            )
+            for _ in range(rng.randrange(0, 12))
+        }
+    )
+    ends = []
+    for variable in ("?x", "?y"):
+        roll = rng.random()
+        if roll < 0.5:
+            ends.append(variable)
+        elif roll < 0.6:
+            ends.append("?x")
+        elif roll < 0.9:
+            ends.append(rng.choice(node_pool))
+        else:
+            ends.append("<ghost>")
+    return {
+        "triples": [list(t) for t in triples],
+        "path": path_to_json(
+            random_property_path(rng, rng.randrange(1, 4))
+        ),
+        "subject": ends[0],
+        "object": ends[1],
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,8 @@ from ..logs.workload import ALL_PROFILES, generate_source_log
 from ..regex.ast import Concat, Optional as OptRegex, Plus, Regex, Star, Union
 from ..regex.automata import glushkov
 from ..regex.determinism import is_deterministic
+from ..sparql.ast import IRI, PathPattern, Var
+from ..sparql.evaluation import Evaluator
 from ..sparql.parser import parse_query, tokenize
 from ..sparql.serialize import serialize_query
 from ..trees.automata import (
@@ -73,7 +75,10 @@ from .generators import (
     random_dtd_rules,
     random_edtd_rules,
     random_event_stream,
+    path_from_json,
+    path_to_json,
     random_json_text,
+    random_path_case,
     random_regex_ast,
     random_rpq_case,
     random_sparql_text,
@@ -82,7 +87,11 @@ from .generators import (
     regex_from_json,
     regex_to_json,
 )
-from .reference import analyze_query, tokenize_reference
+from .reference import (
+    analyze_query,
+    match_path_reference,
+    tokenize_reference,
+)
 from .shrink import sequence_candidates, text_candidates
 
 
@@ -704,6 +713,62 @@ class SPARQLRoundTripOracle(Oracle):
 
 
 # ---------------------------------------------------------------------------
+# SPARQL property paths: the evaluator (compiled RPQ engine) vs relations
+# ---------------------------------------------------------------------------
+
+
+def _path_end(text: str):
+    return Var(text[1:]) if text.startswith("?") else IRI(text)
+
+
+class SPARQLPathOracle(Oracle):
+    name = "sparql-path"
+    description = (
+        "Evaluator property-path matches (compiled RPQ engine) vs the "
+        "relational reading of the path AST, rows in order"
+    )
+
+    def generate(self, rng: random.Random) -> Dict[str, Any]:
+        return random_path_case(rng)
+
+    def check(self, case: Dict[str, Any]) -> Opt[str]:
+        store = TripleStore()
+        for s, p, o in case["triples"]:
+            store.add(s, p, o)
+        path = path_from_json(case["path"])
+        ends = (case["subject"], case["object"])
+        pattern = PathPattern(_path_end(ends[0]), path, _path_end(ends[1]))
+        rows = Evaluator(store).evaluate_pattern(pattern)
+        bound = [None if end.startswith("?") else end for end in ends]
+        expected = []
+        for pair in match_path_reference(store, path, *bound):
+            row: Dict[str, str] = {}
+            for end, node in zip(ends, pair):
+                if end.startswith("?"):
+                    if row.setdefault(end[1:], node) != node:
+                        break
+            else:
+                expected.append(row)
+        if rows != expected:
+            return (
+                f"{ends[0]} {path} {ends[1]}: evaluator={rows} "
+                f"reference={expected}"
+            )
+        return None
+
+    def shrink_candidates(
+        self, case: Dict[str, Any]
+    ) -> Iterable[Dict[str, Any]]:
+        for triples in sequence_candidates(case["triples"]):
+            yield {**case, "triples": triples}
+        for child in path_from_json(case["path"]).children():
+            yield {**case, "path": path_to_json(child)}
+        for end, variable in (("subject", "?x"), ("object", "?y")):
+            if not case[end].startswith("?"):
+                yield {**case, end: variable}
+
+
+# ---------------------------------------------------------------------------
 # Service: embedded serving layer vs direct library calls
 # ---------------------------------------------------------------------------
 
@@ -1165,7 +1230,9 @@ class MmapStoreOracle(Oracle):
 _QUERY_PREDICATES = ("<p>", "<q>", "<r>", "<hot>")
 _QUERY_NODES = tuple(f"<n{i}>" for i in range(8))
 #: safe evaluation templates: no ORDER BY / LIMIT (tie order is
-#: implementation-defined; the service ships rows canonically sorted)
+#: implementation-defined; the service ships rows canonically sorted).
+#: The last three make the sharded union load every predicate: a
+#: negated set, a nullable path, a FILTER EXISTS.
 _QUERY_TEMPLATES = (
     "SELECT ?x ?y WHERE { ?x %P0 ?y }",
     "SELECT ?x ?z WHERE { ?x %P0 ?y . ?y %P1 ?z }",
@@ -1176,6 +1243,9 @@ _QUERY_TEMPLATES = (
     "SELECT ?x ?y WHERE { ?x %P0+ ?y }",
     "SELECT ?x ?y WHERE { ?x (%P0|%P1)* ?y }",
     "SELECT DISTINCT ?x WHERE { ?x %P0 ?y . ?x %P1 ?z }",
+    "SELECT ?x ?y WHERE { ?x !(%P0|^%P1) ?y }",
+    "SELECT ?x WHERE { ?x (%P0/%P1)* <n1> }",
+    "SELECT ?x WHERE { ?x %P0 ?y FILTER EXISTS { ?y %P1 ?z } }",
 )
 #: exchange-stressing RPQ expressions for the label-skewed / cyclic
 #: stores: hot-sandwiched paths, cycles over every predicate, and an
@@ -1197,7 +1267,7 @@ class ShardedServiceOracle(Oracle):
         "EmbeddedService over a sharded deployment (scatter-gather "
         "worker processes) vs the same service over the in-memory "
         "store: engine and cached answers for rpq, battery and full "
-        "SPARQL evaluation (owners()-routed query op)"
+        "SPARQL evaluation (query op on the coordinator union)"
     )
 
     def generate(self, rng: random.Random) -> Dict[str, Any]:
@@ -1560,6 +1630,7 @@ ORACLES: Dict[str, Oracle] = {
         RPQOracle(),
         RegexDeterminismOracle(),
         SPARQLRoundTripOracle(),
+        SPARQLPathOracle(),
         LogPipelineOracle(),
         ServiceOracle(),
         LexerOracle(),

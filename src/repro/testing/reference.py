@@ -14,14 +14,20 @@ them.
   call per metric.  :func:`repro.logs.battery.analyze_query_fused`
   must return the identical dict; the ``fused-battery`` target fuzzes
   that.
+* :func:`match_path_reference` — SPARQL property paths read as
+  relations over the store, one set operation per path operator.
+  :class:`repro.sparql.evaluation.Evaluator`, which runs paths on the
+  compiled RPQ engine, must bind the same pairs in the same order; the
+  ``sparql-path`` target fuzzes that.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Dict, List
+from typing import Dict, FrozenSet, List, Optional as Opt, Set, Tuple
 
 from ..errors import SPARQLParseError
+from ..graphs.rdf import TripleStore
 from ..sparql.ast import PathPattern, Query
 from ..sparql.features import (
     count_triple_patterns,
@@ -35,6 +41,17 @@ from ..sparql.hypergraph import (
     is_free_connex_acyclic,
 )
 from ..sparql.parser import _Token
+from ..sparql.paths_ast import (
+    PathAlternative,
+    PathAtom,
+    PathInverse,
+    PathNegatedSet,
+    PathOptional,
+    PathPlus,
+    PathSequence,
+    PathStar,
+    PropertyPath,
+)
 from ..sparql.pathtypes import (
     path_in_ctract,
     path_in_ttract,
@@ -134,3 +151,84 @@ def analyze_query(query: Query) -> Dict[str, object]:
             for path in paths
         ]
     return out
+
+
+Pairs = Set[Tuple[str, str]]
+
+
+def match_path_reference(
+    store: TripleStore,
+    path: PropertyPath,
+    subject: Opt[str] = None,
+    obj: Opt[str] = None,
+) -> List[Tuple[str, str]]:
+    """The sorted ``(subject, object)`` node pairs ``path`` relates, with
+    ``subject``/``obj`` the bound ends (``None`` when free).
+
+    Each operator is its relation: an IRI its edges, ``^`` the converse,
+    ``/`` composition, ``|`` union, ``?`` union with the identity, ``+``
+    the transitive closure, ``*`` the reflexive-transitive closure.  A
+    negated set ``!(F|^I)`` is the edges whose predicate is outside
+    ``F`` when ``F`` is non-empty, plus the converse edges whose
+    predicate is outside ``I`` when ``I`` is non-empty.  The identity
+    ranges over the store's nodes and the bound ends, so a zero-length
+    path matches a bound end outside the store."""
+    domain = set(store.nodes())
+    domain.update(end for end in (subject, obj) if end is not None)
+    identity = frozenset((node, node) for node in domain)
+    pairs = _path_relation(store, path, identity)
+    return sorted(
+        (s, o)
+        for s, o in pairs
+        if subject in (None, s) and obj in (None, o)
+    )
+
+
+def _path_relation(
+    store: TripleStore, path: PropertyPath, identity: FrozenSet
+) -> Pairs:
+    if isinstance(path, PathAtom):
+        return {(s, o) for s, _p, o in store.triples(None, path.iri, None)}
+    if isinstance(path, PathInverse):
+        return {(o, s) for s, o in _path_relation(store, path.child, identity)}
+    if isinstance(path, PathSequence):
+        out = set(identity)
+        for part in path.parts:
+            out = _compose(out, _path_relation(store, part, identity))
+        return out
+    if isinstance(path, PathAlternative):
+        out = set()
+        for part in path.parts:
+            out |= _path_relation(store, part, identity)
+        return out
+    if isinstance(path, PathOptional):
+        return _path_relation(store, path.child, identity) | identity
+    if isinstance(path, (PathPlus, PathStar)):
+        step = _path_relation(store, path.child, identity)
+        closure = set(step)
+        while True:
+            grown = closure | _compose(closure, step)
+            if grown == closure:
+                break
+            closure = grown
+        return closure | identity if isinstance(path, PathStar) else closure
+    if isinstance(path, PathNegatedSet):
+        out = set()
+        for s, p, o in store.triples():
+            if path.forward and p not in path.forward:
+                out.add((s, o))
+            if path.inverse and p not in path.inverse:
+                out.add((o, s))
+        return out
+    raise TypeError(f"unknown path node {path!r}")
+
+
+def _compose(left: Pairs, right: Pairs) -> Pairs:
+    successors: Dict[str, Set[str]] = {}
+    for s, o in right:
+        successors.setdefault(s, set()).add(o)
+    return {
+        (s, target)
+        for s, middle in left
+        for target in successors.get(middle, ())
+    }
