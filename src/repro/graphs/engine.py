@@ -44,7 +44,7 @@ from __future__ import annotations
 import threading
 import weakref
 from collections import OrderedDict, deque
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional as Opt, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional as Opt, Set, Tuple
 
 from ..regex.ast import (
     Concat,
@@ -667,70 +667,6 @@ class CompiledRPQ:
                 if target_filter is None or name in target_filter:
                     answers.add((source, name))
         return answers
-
-    # -- distributed evaluation support -----------------------------------------
-    #
-    # The sharded service (repro.service.shard) runs the product BFS as a
-    # name-level frontier exchange: each worker holds one shard of the
-    # edges, advances the frontier one level against its local adjacency,
-    # and ships (token, node name, NFA state mask) entries back to the
-    # coordinator, which merges them and decides which bits are new.
-    # These two methods are that worker-side surface.  They speak *NFA*
-    # masks exclusively — NFA state numbering is canonical per expression
-    # (Glushkov positions), so masks produced by independent processes
-    # compose, whereas DFA state numbers depend on the subset-construction
-    # walk and must never cross a process boundary.
-
-    def frontier_step(
-        self,
-        store: TripleStore,
-        entries: List[Tuple[Any, str, int]],
-    ) -> List[Tuple[Any, str, int]]:
-        """Advance a frontier one edge level against this store.
-
-        ``entries`` are ``(token, node name, NFA state mask)`` — the
-        token is opaque (the coordinator uses it to identify the source
-        a walk started from).  Returns the same shape: every node
-        reachable from an entry's node by one local edge whose label the
-        mask can read, carrying the successor state mask.  Results are
-        merged per (token, node) so one call never emits duplicate keys;
-        nodes this store has never seen contribute nothing.
-        """
-        steps = self._resolve_atoms(store)
-        if not steps or not entries:
-            return []
-        names = store.node_names()
-        step_mask = self._step_mask
-        out: Dict[Tuple[Any, int], int] = {}
-        for token, name, mask in entries:
-            nid = store.node_id(name)
-            if nid is None:
-                continue
-            for label, delta, adjacency, _pid, _inv in steps:
-                targets_mask = step_mask(label, delta, mask)
-                if not targets_mask:
-                    continue
-                neighbours = adjacency.get(nid)
-                if not neighbours:
-                    continue
-                for other in neighbours:
-                    key = (token, other)
-                    out[key] = out.get(key, 0) | targets_mask
-        return [
-            (token, names[nid], mask) for (token, nid), mask in out.items()
-        ]
-
-    def productive_source_names(self, store: TripleStore) -> List[str]:
-        """Node names with at least one usable first edge in this store
-        — the shard-local contribution to the distributed all-pairs seed
-        set (sorted, so shard outputs merge deterministically)."""
-        steps = self._resolve_atoms(store)
-        if not steps:
-            return []
-        names = store.node_names()
-        return sorted(
-            names[nid] for nid in self._productive_source_ids(steps)
-        )
 
     def _start_labels(self, steps: List[_Step]) -> List[_Step]:
         """The steps usable on the very first transition."""

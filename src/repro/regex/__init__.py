@@ -3,7 +3,7 @@
 Public surface of :mod:`repro.regex`:
 
 * AST and parsing: :mod:`repro.regex.ast`, :func:`parse`
-* Automata: :func:`glushkov`, :func:`thompson`, :class:`NFA`, :class:`DFA`
+* Automata: :func:`glushkov`, :class:`NFA`, :class:`DFA`
 * Decision problems: :func:`contains`, :func:`equivalent`,
   :func:`intersection_nonempty`
 * Determinism: :func:`is_deterministic`, :func:`is_deterministic_definable`
@@ -22,7 +22,7 @@ __getattr__, __dir__, __all__ = lazy_surface(__name__, {
         "Star", "Symbol", "Union", "concat", "literal", "optional", "plus", "star",
         "symbol", "union", "word",
     ),
-    "automata": ("DFA", "NFA", "glushkov", "minimal_dfa", "thompson"),
+    "automata": ("DFA", "NFA", "glushkov", "minimal_dfa"),
     "chare": (
         "best_containment", "best_intersection", "block_form", "canonical_block_form",
         "containment_a_aplus", "containment_a_disj", "containment_in_downward_closed",

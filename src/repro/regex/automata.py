@@ -2,16 +2,15 @@
 minimization, and the basic language algorithms.
 
 Everything downstream (containment, determinism, the BKW test, RPQ
-evaluation) sits on this module.  Two constructions are provided:
-
-* :func:`glushkov` builds the *position automaton* of an expression.  It is
-  epsilon-free, has exactly ``#positions + 1`` states, and is the canonical
-  tool for deciding *determinism* of expressions: an expression is
-  deterministic (one-unambiguous) iff its Glushkov automaton is
-  deterministic (Brüggemann-Klein & Wood).
-* :func:`thompson` builds the classical epsilon-NFA; it is linear-size and
-  used where construction speed matters more than structure (sampling,
-  membership on huge expressions).
+evaluation) sits on this module.  Its one construction,
+:func:`glushkov`, builds the *position automaton* of an expression.  It is
+epsilon-free, has exactly ``#positions + 1`` states, and is the canonical
+tool for deciding *determinism* of expressions: an expression is
+deterministic (one-unambiguous) iff its Glushkov automaton is
+deterministic (Brüggemann-Klein & Wood).  The classical Thompson
+epsilon-NFA is kept only as a cross-check, in
+:func:`repro.testing.reference.thompson`.  :class:`NFA` still supports
+epsilon transitions (:data:`EPS`) for automata built elsewhere.
 
 States are plain integers.  Alphabets are sets of label strings.
 """
@@ -486,71 +485,6 @@ def glushkov_position_labels(expr: Regex) -> Dict[int, str]:
     labels: Dict[int, str] = {}
     _positions(expr, counter, labels)
     return {pos + 1: label for pos, label in labels.items()}
-
-
-# ---------------------------------------------------------------------------
-# Thompson construction
-# ---------------------------------------------------------------------------
-
-
-def thompson(expr: Regex) -> NFA:
-    """The classical Thompson epsilon-NFA (one initial, one final state)."""
-    nfa = NFA(0, set(), set(), [], set())
-
-    def build(node: Regex) -> Tuple[int, int]:
-        if isinstance(node, Empty):
-            start, end = nfa.add_state(), nfa.add_state()
-            return start, end
-        if isinstance(node, Epsilon):
-            start, end = nfa.add_state(), nfa.add_state()
-            nfa.add_transition(start, EPS, end)
-            return start, end
-        if isinstance(node, Symbol):
-            start, end = nfa.add_state(), nfa.add_state()
-            nfa.add_transition(start, node.label, end)
-            return start, end
-        if isinstance(node, Concat):
-            first_start, prev_end = build(node.parts[0])
-            for part in node.parts[1:]:
-                nxt_start, nxt_end = build(part)
-                nfa.add_transition(prev_end, EPS, nxt_start)
-                prev_end = nxt_end
-            return first_start, prev_end
-        if isinstance(node, Union):
-            start, end = nfa.add_state(), nfa.add_state()
-            for part in node.parts:
-                sub_start, sub_end = build(part)
-                nfa.add_transition(start, EPS, sub_start)
-                nfa.add_transition(sub_end, EPS, end)
-            return start, end
-        if isinstance(node, Star):
-            start, end = nfa.add_state(), nfa.add_state()
-            sub_start, sub_end = build(node.child)
-            nfa.add_transition(start, EPS, sub_start)
-            nfa.add_transition(start, EPS, end)
-            nfa.add_transition(sub_end, EPS, sub_start)
-            nfa.add_transition(sub_end, EPS, end)
-            return start, end
-        if isinstance(node, Plus):
-            start, end = nfa.add_state(), nfa.add_state()
-            sub_start, sub_end = build(node.child)
-            nfa.add_transition(start, EPS, sub_start)
-            nfa.add_transition(sub_end, EPS, sub_start)
-            nfa.add_transition(sub_end, EPS, end)
-            return start, end
-        if isinstance(node, Optional):
-            start, end = nfa.add_state(), nfa.add_state()
-            sub_start, sub_end = build(node.child)
-            nfa.add_transition(start, EPS, sub_start)
-            nfa.add_transition(start, EPS, end)
-            nfa.add_transition(sub_end, EPS, end)
-            return start, end
-        raise TypeError(f"unknown node {node!r}")
-
-    start, end = build(expr)
-    nfa.initial = {start}
-    nfa.finals = {end}
-    return nfa
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,10 @@ metrics with latency percentiles.
 Stores can be served from memory, from one frozen mmap image, or from
 a *sharded deployment*: a directory of per-shard images written by
 :func:`shard_store`, attached zero-copy by a pool of worker processes
-and evaluated scatter-gather by :class:`ShardGroup` — with a
-pruned, round-barrier frontier exchange for multi-shard RPQs and
-SPARQL evaluation (the ``query`` op) on a coordinator-side union of the
-predicates each query reads.  All messages are typed wire-v2
+and served by :class:`ShardGroup` — single-shard requests go to their
+owner worker, and multi-shard RPQs and SPARQL evaluation (the ``query``
+op) read a coordinator-side union of the predicates each request
+reads.  All messages are typed wire-v2
 dataclasses (:class:`RpqRequest` … :class:`StatsResponse`); the
 pre-typed v1 dict encoding is rejected with an upgrade hint.
 

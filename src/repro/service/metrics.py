@@ -15,12 +15,7 @@ requested rank; the relative error is bounded by the bucket ratio
 benchmarks record exact wall-clock timings separately.
 
 All updates happen on the event-loop thread (the scheduler's worker
-threads never touch metrics), so no locking is needed.  The one
-exception is the sharded exchange accounting (``scatter_bytes`` /
-``gather_bytes`` / ``shard_rounds`` / ``pruned_entries``), which a
-:class:`~repro.service.shard.ShardGroup` folds in from a scheduler
-worker thread under its own coordinator lock — observability counters
-whose reads are snapshots anyway.
+threads never touch metrics), so no locking is needed.
 """
 
 from __future__ import annotations
@@ -166,13 +161,6 @@ class ServiceMetrics:
         #: encoding — each one answered with a typed BadRequest carrying
         #: an upgrade hint; a non-zero count means a straggler client
         self.legacy_requests = 0
-        # sharded frontier-exchange accounting, mirrored from every
-        # mounted ShardGroup (estimated wire payload — deterministic
-        # across hosts, see repro.service.shard)
-        self.scatter_bytes = 0
-        self.gather_bytes = 0
-        self.shard_rounds = 0
-        self.pruned_entries = 0
 
     def endpoint(self, op: str) -> EndpointMetrics:
         metrics = self._endpoints.get(op)
@@ -213,10 +201,6 @@ class ServiceMetrics:
             "protocol_errors": self.protocol_errors,
             "responses_too_large": self.responses_too_large,
             "legacy_requests": self.legacy_requests,
-            "scatter_bytes": self.scatter_bytes,
-            "gather_bytes": self.gather_bytes,
-            "shard_rounds": self.shard_rounds,
-            "pruned_entries": self.pruned_entries,
             "endpoints": {
                 op: metrics.snapshot()
                 for op, metrics in sorted(self._endpoints.items())

@@ -63,9 +63,11 @@ Sharded deployments
 A store registered as a *shard directory* (or ``manifest.json`` path —
 see :func:`repro.service.shard.shard_store`) mounts as a
 :class:`~repro.service.shard.ShardGroup`: N worker processes attach the
-per-shard images zero-copy and run the engines locally, the core
-scatter-gathers multi-shard evaluation on its scheduler threads, and
-single-shard-routable requests go to their owner worker directly.  The
+per-shard images zero-copy and run the engines locally.  A request
+whose expression reads one shard's predicates goes to that shard's
+worker; one that spans shards runs on the scheduler thread against a
+coordinator-side union of the mapped images, and log batteries scatter
+over the workers.  The
 admission-control / deadline / single-flight machinery is identical for
 sharded and local stores, and because the manifest records the *source*
 store's content fingerprint, so are the result-cache keys.
@@ -319,17 +321,11 @@ class ServiceCore:
         self.metrics = ServiceMetrics()
         #: schema fingerprint -> compiled TreeAutomaton (LRU)
         self._automata: "OrderedDict[str, Any]" = OrderedDict()
-        for store in self.stores.values():
-            if isinstance(store, ShardGroup):
-                store.service_metrics = self.metrics
 
     def add_store(self, name: str, store: StoreSpec) -> None:
         """Register a live store, a frozen-image path, or a shard
         directory under ``name``."""
-        resolved = _resolve_store(store, self.config.shard_replicas)
-        if isinstance(resolved, ShardGroup):
-            resolved.service_metrics = self.metrics
-        self.stores[name] = resolved
+        self.stores[name] = _resolve_store(store, self.config.shard_replicas)
         self._gates[name] = _StoreGate()
 
     @property

@@ -2,9 +2,9 @@
 the scatter-gather coordinator.
 
 One GIL bounds the single-process service however many threads it runs
-— real parallelism needs processes, and PR 6's memory-mapped images
-were built so processes could share triple data zero-copy.  This module
-closes the loop:
+— real parallelism needs processes, and the memory-mapped images of
+:mod:`repro.store.mmapstore` let processes share triple data zero-copy.
+This module closes the loop:
 
 * :func:`shard_store` partitions a :class:`~repro.graphs.rdf.TripleStore`
   **by predicate** over a consistent-hash ring (:class:`ShardRing`) into
@@ -20,58 +20,22 @@ closes the loop:
   Workers attach via :func:`repro.store.mmapstore.attach` (per-process
   memoized), so each holds its shard's pages mapped once and keeps its
   own compiled-plan and specialization caches across requests.
-* :class:`ShardGroup` is the coordinator: it routes whole queries to a
+* :class:`ShardGroup` is the coordinator: it routes whole requests to a
   single shard when every predicate of the expression lives there
-  (consistent-hash routing, the fast path), and otherwise runs the RPQ
-  product BFS as a **name-level frontier exchange** — frontier
-  ``(source token, node name, NFA state mask)`` entries are scattered
-  to owning shards, advanced one edge level against the shard-local
-  adjacency (:meth:`~repro.graphs.engine.CompiledRPQ.frontier_step`),
-  and the partial frontiers merged by the coordinator, which alone
-  decides which state bits are new.  Log batteries scatter
-  ``(key, text, multiplicity)`` chunks over the workers, one per shard,
-  reusing :func:`~repro.logs.pipeline.run_study`'s dedup and merge.
+  (consistent-hash routing), and log batteries scatter ``(key, text,
+  multiplicity)`` chunks over the workers, one per shard, reusing
+  :func:`~repro.logs.pipeline.run_study`'s dedup and merge.
 * :meth:`ShardGroup.union_store` is one coordinator-side
   :class:`~repro.graphs.rdf.TripleStore` grown a predicate at a time
   from the mapped shard images (zero-copy reads, no worker round trip).
-  Full SPARQL evaluation (the ``query`` op) runs on it, loading the
-  predicates :func:`~repro.sparql.evaluation.query_predicates` names.
-
-The exchange is *payload-aware* and runs in barrier rounds:
-
-* **Frontier pruning** — the coordinator maps each shard image itself,
-  and a frontier entry ships to a shard only when some NFA atom with a
-  pending transition from the entry's mask has the node in that shard's
-  CSR adjacency for the atom (``forward_adjacency``, or
-  ``backward_adjacency`` for ``^p``): a bisect over the mapped keys,
-  exact for any number of predicates.  Entries a broadcast to every
-  owner shard would have shipped are counted in ``pruned_entries``.
-* **Barrier rounds** — each round scatters every shard's buffered
-  entries through :meth:`ShardGroup.scatter` (so the exchange shares
-  its replica failover), gathers all partials, and merges them before
-  the next round.  The reached/newness bookkeeping stays coordinator-
-  owned, so both the answers and the byte counters below are
-  deterministic for a given store and expression.
-
-``scatter_bytes`` / ``gather_bytes`` / ``rounds`` / ``pruned_entries``
-counters (estimated wire payload: token + name UTF-8 bytes plus a
-constant per entry, deterministic across hosts) accumulate on the group
-and mirror into the service's :class:`~.metrics.ServiceMetrics` when
-the group is mounted in a :class:`~.server.ServiceCore`.
+  Every request whose expression spans several shards runs on it: walk
+  evaluation, simple-path and trail searches (whose DFS needs global
+  used-node / used-edge state), and full SPARQL evaluation (the
+  ``query`` op, loading the predicates
+  :func:`~repro.sparql.evaluation.query_predicates` names).
 
 Partitioning by predicate makes single-predicate reads (and any
-expression whose alphabet maps to one shard) local to one worker, while
-multi-predicate expressions degrade gracefully to the frontier
-exchange.  Masks crossing the process boundary are always *NFA* masks:
-Glushkov state numbering is canonical per expression, so masks produced
-by independent worker processes compose; DFA state numbers are a
-process-local artifact and never leave a worker.
-
-Simple-path and trail searches whose expression spans several shards
-run on the coordinator, over the same union store (see
-:meth:`ShardGroup.union_store`): the DFS needs global used-node /
-used-edge state, and reading the mapped images costs no worker round
-trip.
+expression whose alphabet maps to one shard) local to one worker.
 
 Failure handling: every shard may have several *attachments*
 (``replicas``).  A worker that dies mid-call (end of file, a reset or a
@@ -134,27 +98,6 @@ RING_POINTS = 64
 #: battery scatter chunk bound (payload size only; fan-out is one chunk
 #: per shard, see :meth:`ShardGroup.battery`)
 BATTERY_CHUNK_SIZE = 256
-
-#: estimated per-entry wire overhead of one frontier-exchange entry
-#: beyond its token/name text: the 8-byte state mask plus framing.  The
-#: byte counters feed the per-op scatter/gather bytes of the benchmark
-#: trace, so the accounting must be deterministic and host-independent —
-#: it is an estimate of serialized size, not a measurement of pickle
-#: output.
-ENTRY_OVERHEAD_BYTES = 12
-
-
-def _entries_bytes(entries: Iterable[Tuple[str, str, int]]) -> int:
-    """Estimated scatter/gather payload of frontier entries."""
-    total = 0
-    for token, name, _mask in entries:
-        total += (
-            len(token.encode("utf-8"))
-            + len(name.encode("utf-8"))
-            + ENTRY_OVERHEAD_BYTES
-        )
-    return total
-
 
 def _point(value: str) -> int:
     """A 64-bit hash position on the ring (sha256-based: stable across
@@ -366,16 +309,6 @@ def _task_node_names(image: str) -> List[str]:
     return list(_shard(image).node_names())
 
 
-def _task_productive_sources(image: str, expr_text: str) -> List[str]:
-    return _compiled(expr_text).productive_source_names(_shard(image))
-
-
-def _task_frontier_step(
-    image: str, expr_text: str, entries: List[Tuple[str, str, int]]
-) -> List[Tuple[str, str, int]]:
-    return _compiled(expr_text).frontier_step(_shard(image), entries)
-
-
 def _task_evaluate_full(
     image: str,
     expr_text: str,
@@ -549,8 +482,8 @@ class ShardWorker:
 
 
 class ShardGroup:
-    """The coordinator over one sharded layout: routing, scatter-gather
-    evaluation, replica failover, and lifecycle.
+    """The coordinator over one sharded layout: owner routing, the
+    union store, battery scatter, replica failover, and lifecycle.
 
     All public evaluation methods are blocking (they run on the service
     scheduler's worker threads) and return exactly what the
@@ -564,17 +497,7 @@ class ShardGroup:
         self.manifest = ShardManifest.load(target)
         self.replicas = replicas
         self.failovers = 0
-        # exchange payload accounting (see module docstring); mirrored
-        # into the service metrics registry when mounted in a core
-        self.scatter_bytes = 0
-        self.gather_bytes = 0
-        self.rounds = 0
-        self.pruned_entries = 0
-        self.scattered_entries = 0
-        self.service_metrics: Opt[Any] = None
         self._lock = threading.Lock()
-        #: test/chaos instrumentation: called once per gather round
-        self.gather_hook: Opt[Callable[[], None]] = None
         self.workers: List[List[ShardWorker]] = [
             [
                 ShardWorker(shard, replica, str(self.manifest.image_path(shard)))
@@ -656,47 +579,22 @@ class ShardGroup:
                 for attachments in self.workers
                 for worker in attachments
             ),
-            "scatter_bytes": self.scatter_bytes,
-            "gather_bytes": self.gather_bytes,
-            "rounds": self.rounds,
-            "pruned_entries": self.pruned_entries,
-            "scattered_entries": self.scattered_entries,
+            # always 0 (no exchange); perfbench/serve.py reads them
+            "rounds": 0,
+            "scatter_bytes": 0,
+            "gather_bytes": 0,
+            "pruned_entries": 0,
+            "scattered_entries": 0,
         }
-
-    def _account(
-        self,
-        *,
-        scatter: int = 0,
-        gather: int = 0,
-        rounds: int = 0,
-        pruned: int = 0,
-        entries: int = 0,
-    ) -> None:
-        """Fold one walk's exchange accounting into the group counters
-        and, when mounted in a service core, the shared metrics
-        registry (walks run concurrently on scheduler threads, hence
-        the lock)."""
-        with self._lock:
-            self.scatter_bytes += scatter
-            self.gather_bytes += gather
-            self.rounds += rounds
-            self.pruned_entries += pruned
-            self.scattered_entries += entries
-            metrics = self.service_metrics
-            if metrics is not None:
-                metrics.scatter_bytes += scatter
-                metrics.gather_bytes += gather
-                metrics.shard_rounds += rounds
-                metrics.pruned_entries += pruned
 
     # -- coordinator-side image attach -------------------------------------------
 
     def _shard_mapped(self, shard: int):
         """The shard's image mapped into *this* process (zero-copy; the
         physical pages are shared with the shard's worker processes).
-        Scatter pruning bisects its CSR adjacency keys and
-        :meth:`union_store` loads predicates from it, both without an
-        IPC round trip.
+        :meth:`union_store` loads predicates and :meth:`fingerprint`
+        reads per-predicate content from it, both without an IPC round
+        trip.
 
         The per-process :func:`~repro.store.mmapstore.attach` cache owns
         the mapping — several groups over one directory share it, so
@@ -754,8 +652,7 @@ class ShardGroup:
         deadlock on its buffer.  A job whose worker died fails over
         through :meth:`call_shard` (which respawns if needed).  A task's
         exception is re-raised only after every pending reply of its
-        sub-round is read.  The gather hook fires once per call, after
-        all results are in."""
+        sub-round is read."""
         results: List[Any] = [None] * len(jobs)
         todo = sorted(range(len(jobs)), key=lambda index: jobs[index][0])
         failed: List[int] = []
@@ -801,8 +698,6 @@ class ShardGroup:
             with self._lock:
                 self.failovers += 1
             results[index] = self.call_shard(shard, fn, *args)
-        if self.gather_hook is not None:
-            self.gather_hook()
         return results
 
     # -- node-name union ---------------------------------------------------------
@@ -846,7 +741,8 @@ class ShardGroup:
         unsharded store."""
         plan = _compiled(expr_text)
         target_filter = set(targets) if targets is not None else None
-        owners = self.manifest.owners(self._expr_predicates(plan))
+        predicates = self._expr_predicates(plan)
+        owners = self.manifest.owners(predicates)
         answers: Set[Tuple[str, str]] = set()
         if plan.accepts_empty:
             diagonal = sources if sources is not None else self.node_names()
@@ -871,163 +767,11 @@ class ShardGroup:
             )
             answers.update(tuple(pair) for pair in pairs)
             return answers
-        return self._walk_frontier_exchange(
-            plan, expr_text, owners, sources, target_filter, answers
+        # the expression spans shards: evaluate on the coordinator
+        # union, whose diagonal is again a subset of the one above
+        answers.update(
+            plan.evaluate(self.union_store(predicates), sources, targets)
         )
-
-    def _exchange_contexts(
-        self, plan, owners: List[int]
-    ) -> Dict[int, List[Tuple[str, List[int], Any]]]:
-        """Per owner shard, the NFA atoms whose predicate the shard owns
-        as ``(label, delta, adjacency)``: the shard image's forward CSR
-        adjacency of the predicate, or its backward one for ``^p``."""
-        contexts: Dict[int, List[Tuple[str, List[int], Any]]] = {}
-        for shard in owners:
-            mapped = self._shard_mapped(shard)
-            atoms: List[Tuple[str, List[int], Any]] = []
-            for label in plan.atoms:
-                inverse = label.startswith("^")
-                # a shard image holds exactly the predicates it owns
-                pid = mapped.predicate_id(label[1:] if inverse else label)
-                if pid is None:
-                    continue
-                adjacency = (
-                    mapped.backward_adjacency(pid)
-                    if inverse
-                    else mapped.forward_adjacency(pid)
-                )
-                atoms.append((label, plan.deltas[label], adjacency))
-            contexts[shard] = atoms
-        return contexts
-
-    def _walk_frontier_exchange(
-        self,
-        plan,
-        expr_text: str,
-        owners: List[int],
-        sources: Opt[List[str]],
-        target_filter: Opt[Set[str]],
-        answers: Set[Tuple[str, str]],
-    ) -> Set[Tuple[str, str]]:
-        """The distributed product BFS: the coordinator owns the
-        ``(source, node) -> state mask`` table and which bits are new;
-        workers own the edges and advance the frontier one level.
-
-        Scatter is pruned: an entry ships to a shard only when one of
-        the atoms its mask can step has the node in the shard's CSR
-        adjacency.  Pruning changes the payload, never the answer set.
-        Rounds are barriers: every shard with buffered entries is
-        scattered to, and all partials merge before the next round.
-        """
-        if sources is not None:
-            seeds = sorted(set(sources))
-        else:
-            seeds_set: Set[str] = set()
-            for names in self.scatter(
-                [
-                    (
-                        shard,
-                        _task_productive_sources,
-                        (self.workers[shard][0].image, expr_text),
-                    )
-                    for shard in owners
-                ]
-            ):
-                seeds_set.update(names)
-            seeds = sorted(seeds_set)
-        if not seeds:
-            return answers
-        start_mask = plan.start_mask
-        finals_mask = plan.finals_mask
-        step_mask = plan._step_mask
-        # seed entries carry the full start mask; hits are only ever
-        # recorded off edge steps (the empty-walk diagonal is the
-        # caller's, exactly as in the single-process engine)
-        reached: Dict[Tuple[str, str], int] = {
-            (name, name): start_mask for name in seeds
-        }
-        contexts = self._exchange_contexts(plan, owners)
-        # the adjacencies of the atoms a mask can step, per (shard,
-        # mask) — masks repeat heavily across a frontier
-        step_memo: Dict[Tuple[int, int], List[Any]] = {}
-        pending: Dict[int, Dict[Tuple[str, str], int]] = {
-            shard: {} for shard in owners
-        }
-        stats = {"scatter": 0, "gather": 0, "rounds": 0, "pruned": 0, "entries": 0}
-
-        def enqueue(token: str, name: str, mask: int) -> None:
-            """Buffer one gained entry towards every shard that can
-            extend it."""
-            key = (token, name)
-            for shard in owners:
-                adjacencies = step_memo.get((shard, mask))
-                if adjacencies is None:
-                    adjacencies = [
-                        adjacency
-                        for label, delta, adjacency in contexts[shard]
-                        if step_mask(label, delta, mask)
-                    ]
-                    step_memo[(shard, mask)] = adjacencies
-                ship = False
-                if adjacencies:
-                    nid = self._mapped[shard].node_id(name)
-                    if nid is not None:
-                        for adjacency in adjacencies:
-                            if nid in adjacency:
-                                ship = True
-                                break
-                if ship:
-                    buffer = pending[shard]
-                    buffer[key] = buffer.get(key, 0) | mask
-                else:
-                    stats["pruned"] += 1
-
-        for name in seeds:
-            enqueue(name, name, start_mask)
-        try:
-            while True:
-                jobs: List[Tuple[int, Callable, Tuple]] = []
-                for shard in owners:
-                    buffer = pending[shard]
-                    if not buffer:
-                        continue
-                    entries = [(t, n, m) for (t, n), m in buffer.items()]
-                    pending[shard] = {}
-                    stats["scatter"] += _entries_bytes(entries)
-                    stats["entries"] += len(entries)
-                    stats["rounds"] += 1
-                    jobs.append(
-                        (
-                            shard,
-                            _task_frontier_step,
-                            (self.workers[shard][0].image, expr_text, entries),
-                        )
-                    )
-                if not jobs:
-                    break
-                # fold each worker's advanced frontier into the reached
-                # table; gained bits record hits and re-enter the buffers
-                for partial in self.scatter(jobs):
-                    stats["gather"] += _entries_bytes(partial)
-                    for token, name, mask in partial:
-                        old = reached.get((token, name), 0)
-                        gained = mask & ~old
-                        if not gained:
-                            continue
-                        reached[(token, name)] = old | gained
-                        if gained & finals_mask and (
-                            target_filter is None or name in target_filter
-                        ):
-                            answers.add((token, name))
-                        enqueue(token, name, gained)
-        finally:
-            self._account(
-                scatter=stats["scatter"],
-                gather=stats["gather"],
-                rounds=stats["rounds"],
-                pruned=stats["pruned"],
-                entries=stats["entries"],
-            )
         return answers
 
     # -- RPQ: simple-path / trail semantics --------------------------------------
@@ -1069,19 +813,19 @@ class ShardGroup:
         self, predicates: Opt[Collection[str]] = None
     ) -> TripleStore:
         """A coordinator-side store holding every edge of ``predicates``
-        (all of the source store's when ``None``): simple/trail DFS
-        needs global used-node/used-edge state, which does not
-        decompose over shards, and full SPARQL evaluation reads it.
+        (all of the source store's when ``None``): multi-shard walks,
+        simple/trail DFS (whose global used-node/used-edge state does
+        not decompose over shards) and full SPARQL evaluation read it.
 
         One union serves every caller: it grows one predicate at a
         time from the owner shard's coordinator-side mapping (zero-copy
         reads, no worker round trip), and holds at most the source
-        store's predicates.  A search or a query reads only its own
-        predicates, so edges of other loaded predicates change no
+        store's predicates.  A walk, a search or a query reads only its
+        own predicates, so edges of other loaded predicates change no
         answer.  Shard edge sets are disjoint, so trail edge-multiplicity
         is preserved.  Growth copies the published store under the group
         lock and publishes ``(store, predicates)`` as one tuple: a
-        concurrent search never sees a store being mutated or a
+        concurrent reader never sees a store being mutated or a
         predicate set paired with an older store.  The images are
         frozen, so nothing ever invalidates it."""
         if predicates is None:

@@ -160,8 +160,6 @@ class JSONOracle(Oracle):
             ours: Tuple[str, Any] = ("ok", parse_json(case))
         except JSONParseError as exc:
             ours = ("err", (exc.category, exc.position))
-        except RecursionError:
-            return None  # recursion-depth parity is not a target
         except Exception as exc:
             return (
                 f"custom parser leaked {type(exc).__name__}: {exc} "
@@ -1247,9 +1245,9 @@ _QUERY_TEMPLATES = (
     "SELECT ?x WHERE { ?x (%P0/%P1)* <n1> }",
     "SELECT ?x WHERE { ?x %P0 ?y FILTER EXISTS { ?y %P1 ?z } }",
 )
-#: exchange-stressing RPQ expressions for the label-skewed / cyclic
-#: stores: hot-sandwiched paths, cycles over every predicate, and an
-#: absent predicate ("s") whose rounds have empty label intersections
+#: multi-shard RPQ expressions for the label-skewed / cyclic stores:
+#: hot-sandwiched paths, cycles over every predicate, and an absent
+#: predicate ("s") that no shard owns
 _SKEW_EXPRS = (
     "hot* (p|q) hot*",
     "(hot|p)*",
@@ -1264,10 +1262,11 @@ _SKEW_EXPRS = (
 class ShardedServiceOracle(Oracle):
     name = "sharded-service"
     description = (
-        "EmbeddedService over a sharded deployment (scatter-gather "
-        "worker processes) vs the same service over the in-memory "
-        "store: engine and cached answers for rpq, battery and full "
-        "SPARQL evaluation (query op on the coordinator union)"
+        "EmbeddedService over a sharded deployment (owner-routed "
+        "worker processes, multi-shard requests on the coordinator "
+        "union) vs the same service over the in-memory store: engine "
+        "and cached answers for rpq, battery and full SPARQL "
+        "evaluation (query op)"
     )
 
     def generate(self, rng: random.Random) -> Dict[str, Any]:
@@ -1286,9 +1285,8 @@ class ShardedServiceOracle(Oracle):
             }
         if roll < 0.7:
             # label-skewed cyclic store: a cold multi-predicate ring
-            # (cyclic frontiers that revisit nodes with new masks) plus
-            # a hot predicate carrying most triples — the exchange's
-            # pruning stress case
+            # (cyclic walks that revisit nodes in new automaton states)
+            # plus a hot predicate carrying most triples
             nodes = [f"n{i}" for i in range(rng.randrange(4, 8))]
             triples = set()
             for index, node in enumerate(nodes):

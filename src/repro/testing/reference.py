@@ -19,6 +19,9 @@ them.
   :class:`repro.sparql.evaluation.Evaluator`, which runs paths on the
   compiled RPQ engine, must bind the same pairs in the same order; the
   ``sparql-path`` target fuzzes that.
+* :func:`thompson` — the classical Thompson epsilon-NFA, an independent
+  construction the tests hold :func:`repro.regex.automata.glushkov` to
+  (same language on every word).
 """
 
 from __future__ import annotations
@@ -28,6 +31,18 @@ from typing import Dict, FrozenSet, List, Optional as Opt, Set, Tuple
 
 from ..errors import SPARQLParseError
 from ..graphs.rdf import TripleStore
+from ..regex.ast import (
+    Concat,
+    Empty,
+    Epsilon,
+    Optional,
+    Plus,
+    Regex,
+    Star,
+    Symbol,
+    Union,
+)
+from ..regex.automata import EPS, NFA
 from ..sparql.ast import PathPattern, Query
 from ..sparql.features import (
     count_triple_patterns,
@@ -232,3 +247,63 @@ def _compose(left: Pairs, right: Pairs) -> Pairs:
         for s, middle in left
         for target in successors.get(middle, ())
     }
+
+
+def thompson(expr: Regex) -> NFA:
+    """The classical Thompson epsilon-NFA (one initial, one final state)."""
+    nfa = NFA(0, set(), set(), [], set())
+
+    def build(node: Regex) -> Tuple[int, int]:
+        if isinstance(node, Empty):
+            start, end = nfa.add_state(), nfa.add_state()
+            return start, end
+        if isinstance(node, Epsilon):
+            start, end = nfa.add_state(), nfa.add_state()
+            nfa.add_transition(start, EPS, end)
+            return start, end
+        if isinstance(node, Symbol):
+            start, end = nfa.add_state(), nfa.add_state()
+            nfa.add_transition(start, node.label, end)
+            return start, end
+        if isinstance(node, Concat):
+            first_start, prev_end = build(node.parts[0])
+            for part in node.parts[1:]:
+                nxt_start, nxt_end = build(part)
+                nfa.add_transition(prev_end, EPS, nxt_start)
+                prev_end = nxt_end
+            return first_start, prev_end
+        if isinstance(node, Union):
+            start, end = nfa.add_state(), nfa.add_state()
+            for part in node.parts:
+                sub_start, sub_end = build(part)
+                nfa.add_transition(start, EPS, sub_start)
+                nfa.add_transition(sub_end, EPS, end)
+            return start, end
+        if isinstance(node, Star):
+            start, end = nfa.add_state(), nfa.add_state()
+            sub_start, sub_end = build(node.child)
+            nfa.add_transition(start, EPS, sub_start)
+            nfa.add_transition(start, EPS, end)
+            nfa.add_transition(sub_end, EPS, sub_start)
+            nfa.add_transition(sub_end, EPS, end)
+            return start, end
+        if isinstance(node, Plus):
+            start, end = nfa.add_state(), nfa.add_state()
+            sub_start, sub_end = build(node.child)
+            nfa.add_transition(start, EPS, sub_start)
+            nfa.add_transition(sub_end, EPS, sub_start)
+            nfa.add_transition(sub_end, EPS, end)
+            return start, end
+        if isinstance(node, Optional):
+            start, end = nfa.add_state(), nfa.add_state()
+            sub_start, sub_end = build(node.child)
+            nfa.add_transition(start, EPS, sub_start)
+            nfa.add_transition(start, EPS, end)
+            nfa.add_transition(sub_end, EPS, end)
+            return start, end
+        raise TypeError(f"unknown node {node!r}")
+
+    start, end = build(expr)
+    nfa.initial = {start}
+    nfa.finals = {end}
+    return nfa

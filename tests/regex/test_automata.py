@@ -10,11 +10,11 @@ from repro.regex.automata import (
     glushkov,
     minimal_dfa,
     product_intersection,
-    thompson,
 )
 from repro.regex.generators import random_regex
 from repro.regex.parser import parse
 from repro.regex.sampling import sample_word
+from repro.testing.reference import thompson
 
 
 def words(*texts):

@@ -34,10 +34,8 @@ from repro.service.shard import (
     ShardManifest,
     ShardRing,
     _task_die,
-    _task_frontier_step,
     shard_store,
 )
-from repro.store import attach
 
 
 def run(coro):
@@ -59,10 +57,12 @@ def distinct_shard_predicates(shards: int, needed: int):
     return [found[shard] for shard in sorted(found)]
 
 
-def random_store(seed: int = 11, nodes: int = 30, triples: int = 150):
+def random_store(
+    seed: int = 11, nodes: int = 30, triples: int = 150, shards: int = 3
+):
     rng = random.Random(seed)
     names = [f"n{i}" for i in range(nodes)]
-    preds = distinct_shard_predicates(3, 3)
+    preds = distinct_shard_predicates(shards, shards)
     store = TripleStore()
     while len(store) < triples:
         store.add(rng.choice(names), rng.choice(preds), rng.choice(names))
@@ -150,22 +150,41 @@ def test_manifest_with_a_missing_image_is_unavailable(tmp_path):
 
 
 def test_multi_shard_walk_equals_single_process_engine(tmp_path):
-    store, preds = random_store()
-    shard_store(store, tmp_path / "g", shards=3)
-    group = ShardGroup(tmp_path / "g")
-    try:
-        a, b, c = preds
-        for text in (
-            f"{a} {b}",
-            f"({a} | {b})*",
-            f"^{a} {b}",
-            f"({a} {b}) | {c}",
-            f"{a}?",
-        ):
-            expected = evaluate_rpq(store, parse_regex(text, multi_char=True))
-            assert group.evaluate_walk(text, None, None) == expected, text
-    finally:
-        group.close()
+    store, (a, b, c) = random_store()
+    skewed, hot, (c0, c1) = skewed_store()
+    for name, data, texts in (
+        (
+            "uniform",
+            store,
+            (
+                f"{a} {b}",
+                f"({a} | {b})*",
+                f"^{a} {b}",
+                f"({a} {b}) | {c}",
+                f"{a}?",
+            ),
+        ),
+        (
+            # one hot predicate carrying most triples, cold ones elsewhere
+            "skewed",
+            skewed,
+            (
+                f"{hot}* ({c0} | {c1}) {hot}*",
+                f"({hot} | {c0})*",
+                f"({hot} | {c0} | {c1})*",
+                f"{c0} {hot}* ^{c1}",
+            ),
+        ),
+    ):
+        shard_store(data, tmp_path / name, shards=3)
+        group = ShardGroup(tmp_path / name)
+        try:
+            for text in texts:
+                expr = parse_regex(text, multi_char=True)
+                expected = evaluate_rpq(data, expr)
+                assert group.evaluate_walk(text, None, None) == expected, text
+        finally:
+            group.close()
 
 
 def test_sourced_and_targeted_walks_filter_identically(tmp_path):
@@ -191,19 +210,29 @@ def test_sourced_and_targeted_walks_filter_identically(tmp_path):
         group.close()
 
 
-def test_single_shard_expression_skips_the_frontier_exchange(tmp_path):
+def test_single_shard_expression_runs_on_its_owner_worker(tmp_path):
     store, preds = random_store()
     shard_store(store, tmp_path / "g", shards=3)
     group = ShardGroup(tmp_path / "g")
+    calls = []
+    call_shard = group.call_shard
+
+    def counting_call_shard(shard, fn, *args):
+        calls.append(shard)
+        return call_shard(shard, fn, *args)
+
+    def no_scatter(jobs):
+        raise AssertionError("a single-shard walk scattered")
+
+    group.call_shard = counting_call_shard
+    group.scatter = no_scatter
     try:
-        rounds = []
-        group.gather_hook = lambda: rounds.append(1)
         text = f"{preds[0]} {preds[0]}*"
         expected = evaluate_rpq(store, parse_regex(text, multi_char=True))
         assert group.evaluate_walk(text, None, None) == expected
-        # the fast path answers through one direct shard call — the
-        # scatter/gather machinery (whose hook fires per round) idle
-        assert rounds == []
+        # one direct call to the owner; the coordinator union stays empty
+        assert calls == [group.manifest.predicates[preds[0]]]
+        assert group._union[1] == frozenset()
     finally:
         group.close()
 
@@ -305,33 +334,47 @@ def kill_worker(worker):
         pass
 
 
+def owner_routed_walks(store, group):
+    """One walk per shard, over a predicate that shard owns: each is
+    answered by a call to that shard's worker."""
+    walks = []
+    for shard in range(group.manifest.shards):
+        predicate = min(
+            p for p, owner in group.manifest.predicates.items() if owner == shard
+        )
+        text = f"{predicate} {predicate}*"
+        expected = evaluate_rpq(store, parse_regex(text, multi_char=True))
+        walks.append((text, expected))
+    return walks
+
+
 def test_worker_death_mid_query_fails_over_to_a_replica(tmp_path):
-    store, preds = random_store()
+    store, _preds = random_store(shards=2)
     shard_store(store, tmp_path / "g", shards=2)
     group = ShardGroup(tmp_path / "g", replicas=2)
     try:
-        text = f"({preds[0]} | {preds[1]})*"
-        expected = evaluate_rpq(store, parse_regex(text, multi_char=True))
+        walks = owner_routed_walks(store, group)
         # warm every attachment, then kill each shard's primary
         group.check_health()
         for attachments in group.workers:
             kill_worker(attachments[0])
-        assert group.evaluate_walk(text, None, None) == expected
+        for text, expected in walks:
+            assert group.evaluate_walk(text, None, None) == expected
         assert group.failovers >= 1
     finally:
         group.close()
 
 
 def test_worker_death_with_one_replica_respawns_the_primary(tmp_path):
-    store, preds = random_store()
+    store, _preds = random_store(shards=2)
     shard_store(store, tmp_path / "g", shards=2)
     group = ShardGroup(tmp_path / "g", replicas=1)
     try:
-        text = f"({preds[0]} | {preds[1]})*"
-        expected = evaluate_rpq(store, parse_regex(text, multi_char=True))
+        walks = owner_routed_walks(store, group)
         for attachments in group.workers:
             kill_worker(attachments[0])
-        assert group.evaluate_walk(text, None, None) == expected
+        for text, expected in walks:
+            assert group.evaluate_walk(text, None, None) == expected
         assert group.stats()["respawns"] >= 1
     finally:
         group.close()
@@ -353,10 +396,13 @@ def test_check_health_respawns_dead_workers(tmp_path):
 
 
 def test_group_stats_shape(tmp_path):
-    store, _preds = random_store(triples=25)
+    store, preds = random_store(triples=25)
     shard_store(store, tmp_path / "g", shards=3)
     group = ShardGroup(tmp_path / "g", replicas=2)
     try:
+        text = f"({preds[0]} | {preds[1]})*"
+        expected = evaluate_rpq(store, parse_regex(text, multi_char=True))
+        assert group.evaluate_walk(text, None, None) == expected
         stats = group.stats()
         assert stats["shards"] == 3
         assert stats["replicas"] == 2
@@ -364,6 +410,16 @@ def test_group_stats_shape(tmp_path):
         assert stats["source_fingerprint"] == store.fingerprint()
         assert stats["failovers"] == 0
         assert stats["respawns"] == 0
+        # the keys perfbench's trace reads stay, at 0, after a
+        # multi-shard walk
+        for key in (
+            "rounds",
+            "scatter_bytes",
+            "gather_bytes",
+            "pruned_entries",
+            "scattered_entries",
+        ):
+            assert stats[key] == 0, key
     finally:
         group.close()
 
@@ -550,17 +606,25 @@ def test_deadline_expiry_during_gather_is_structured(tmp_path):
         config = ServiceConfig(max_workers=1, max_queue=4)
         async with EmbeddedService({"g": tmp_path / "g"}, config) as service:
             group = service.core.shard_groups["g"]
-            group.gather_hook = lambda: time.sleep(0.25)
+            call_shard = group.call_shard
+
+            def slow_call_shard(shard, fn, *args):
+                reply = call_shard(shard, fn, *args)
+                time.sleep(0.25)
+                return reply
+
+            group.call_shard = slow_call_shard
             with pytest.raises(DeadlineExceeded):
+                # one predicate: the walk goes to its owner worker
                 await service.rpq(
                     "g",
-                    f"({preds[0]} | {preds[1]})*",
+                    f"{preds[0]} {preds[0]}*",
                     deadline_ms=60,
                 )
             assert service.core.metrics.endpoint("rpq").timeouts == 1
-            # the overrunning gather completes in the background and
+            # the overrunning call completes in the background and
             # frees its worker; the service keeps serving
-            group.gather_hook = None
+            del group.call_shard
             await asyncio.sleep(0.4)
             assert (await service.ping())["pong"] is True
 
@@ -583,7 +647,7 @@ def test_battery_through_the_service_is_deployment_independent(tmp_path):
     run(scenario())
 
 
-# -- pruned, round-barrier exchange -------------------------------------------
+# -- multi-shard requests over the coordinator union --------------------------
 
 
 def skewed_store(shards: int = 3, hot: int = 120, cold: int = 12, seed: int = 3):
@@ -603,86 +667,6 @@ def skewed_store(shards: int = 3, hot: int = 120, cold: int = 12, seed: int = 3)
             rng.choice(names), rng.choice(cold_preds), rng.choice(names)
         )
     return store, hot_pred, cold_preds
-
-
-def test_every_shipped_entry_can_step_on_its_target_shard(tmp_path):
-    store, hot, colds = skewed_store()
-    shard_store(store, tmp_path / "g", shards=3)
-    group = ShardGroup(tmp_path / "g")
-    shipped = []
-    scatter = group.scatter
-
-    def recording_scatter(jobs):
-        for shard, fn, args in jobs:
-            if fn is _task_frontier_step:
-                _image, text, entries = args
-                shipped.extend((shard, text, entry) for entry in entries)
-        return scatter(jobs)
-
-    group.scatter = recording_scatter
-    try:
-        texts = [
-            f"{hot}* ({colds[0]} | {colds[1]}) {hot}*",
-            f"({hot} | {colds[0]})*",
-            f"{colds[0]} {hot}* ^{colds[1]}",
-        ]
-        for text in texts:
-            expected = evaluate_rpq(store, parse_regex(text, multi_char=True))
-            assert group.evaluate_walk(text, None, None) == expected, text
-        assert shipped and group.pruned_entries > 0
-        # (node, predicate) pairs with an out-/in-edge, from a full scan
-        # of each target image rather than the keys the coordinator
-        # bisects
-        out_labels, in_labels = [], []
-        for shard in range(3):
-            triples = list(attach(group.manifest.image_path(shard)).triples())
-            out_labels.append({(s, p) for s, p, _o in triples})
-            in_labels.append({(o, p) for _s, p, o in triples})
-        for shard, text, (_token, name, mask) in shipped:
-            plan = compile_rpq(parse_regex(text, multi_char=True))
-            steppable = [
-                label
-                for label in plan.atoms
-                if any(
-                    row
-                    for state, row in enumerate(plan.deltas[label])
-                    if mask >> state & 1
-                )
-            ]
-            assert any(
-                (name, label[1:]) in in_labels[shard]
-                if label.startswith("^")
-                else (name, label) in out_labels[shard]
-                for label in steppable
-            ), (shard, text, name, mask)
-    finally:
-        group.close()
-
-
-def test_exchange_answers_and_accounting_are_deterministic(tmp_path):
-    store, hot, colds = skewed_store(seed=9)
-    shard_store(store, tmp_path / "g", shards=3)
-    first = ShardGroup(tmp_path / "g")
-    second = ShardGroup(tmp_path / "g")
-    counters = ("scatter_bytes", "gather_bytes", "rounds", "pruned_entries")
-    try:
-        texts = [
-            f"({hot} | {colds[0]} | {colds[1]})*",
-            f"{colds[0]} {hot}* ^{colds[1]}",
-        ]
-        for text in texts:
-            expected = evaluate_rpq(store, parse_regex(text, multi_char=True))
-            # worker completion order varies run to run; neither the
-            # answers nor the byte accounting may
-            assert first.evaluate_walk(text, None, None) == expected
-            assert second.evaluate_walk(text, None, None) == expected
-        first_stats, second_stats = first.stats(), second.stats()
-        assert first_stats["rounds"] > 0
-        for name in counters:
-            assert first_stats[name] == second_stats[name], name
-    finally:
-        first.close()
-        second.close()
 
 
 def test_multi_owner_exists_makes_no_worker_round_trip(tmp_path):
@@ -706,6 +690,44 @@ def test_multi_owner_exists_makes_no_worker_round_trip(tmp_path):
                 assert group.exists(
                     text, source, target, "trail"
                 ) == exists_trail(store, expr, source, target)
+    finally:
+        group.close()
+
+
+def test_multi_owner_walk_makes_no_worker_round_trip(tmp_path):
+    store, hot, colds = skewed_store(hot=20, cold=20)
+    shard_store(store, tmp_path / "g", shards=3)
+    group = ShardGroup(tmp_path / "g")
+
+    def no_round_trip(*args):
+        raise AssertionError("multi-shard walk reached a worker")
+
+    group.scatter = no_round_trip
+    group.call_shard = no_round_trip
+    sources = ["n0", "n3", "ghost"]
+    targets = ["n1", "n3", "ghost"]
+    try:
+        # all-pairs walks whose expression is not nullable need no node
+        # list; sourced walks never do
+        for text, nullable in (
+            (f"{hot} {colds[0]}", False),
+            (f"({colds[0]} | {colds[1]})+", False),
+            (f"{colds[0]} {hot}* ^{colds[1]}", False),
+            (f"({hot} | {colds[0]})*", True),
+            (f"{hot}? {colds[1]}?", True),
+        ):
+            expr = parse_regex(text, multi_char=True)
+            assert len(group.manifest.owners(expr.alphabet())) > 1
+            if not nullable:
+                assert group.evaluate_walk(text, None, None) == evaluate_rpq(
+                    store, expr
+                ), text
+            assert group.evaluate_walk(text, sources, None) == evaluate_rpq(
+                store, expr, sources=sources
+            ), text
+            assert group.evaluate_walk(
+                text, sources, targets
+            ) == evaluate_rpq(store, expr, sources=sources, targets=targets), text
     finally:
         group.close()
 
@@ -785,18 +807,50 @@ def test_concurrent_exists_agree_with_single_process_search(tmp_path):
         group.close()
 
 
-def test_exchange_pruning_survives_worker_death(tmp_path):
-    store, hot, colds = skewed_store(seed=21)
+def test_concurrent_walks_agree_with_single_process_engine(tmp_path):
+    store, preds = random_store(seed=19, nodes=12, triples=50)
     shard_store(store, tmp_path / "g", shards=3)
     group = ShardGroup(tmp_path / "g")
+    cases = [
+        (text, sources)
+        for a in preds
+        for b in preds
+        if a != b
+        for text in (f"{a} {b}", f"({a} | ^{b})+")
+        for sources in (None, ("n0", "n5"))
+    ]
+    expected = [
+        evaluate_rpq(
+            store,
+            parse_regex(text, multi_char=True),
+            sources=list(sources) if sources else None,
+        )
+        for text, sources in cases
+    ]
+    start = threading.Barrier(4)
+
+    def run_all(offset):
+        start.wait(timeout=30)
+        # each thread walks the cases in a different order, so the
+        # union grows under contention
+        order = cases[offset:] + cases[:offset]
+        return [
+            group.evaluate_walk(
+                text, list(sources) if sources else None, None
+            )
+            for text, sources in order
+        ], offset
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
     try:
-        text = f"({hot} | {colds[0]})*"
-        expected = evaluate_rpq(store, parse_regex(text, multi_char=True))
-        assert group.evaluate_walk(text, None, None) == expected
-        kill_worker(group.workers[0][0])  # kill a primary between runs
-        assert group.evaluate_walk(text, None, None) == expected
-        assert group.failovers >= 1
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            offsets = [i * len(cases) // 4 for i in range(4)]
+            outcomes = list(pool.map(run_all, offsets, timeout=60))
+        for answers, offset in outcomes:
+            assert answers == expected[offset:] + expected[:offset]
     finally:
+        sys.setswitchinterval(interval)
         group.close()
 
 
@@ -852,17 +906,20 @@ def test_query_union_loads_only_what_the_query_reads(tmp_path):
     store = sparql_vocab_store(triples=30)
     shard_store(store, tmp_path / "g", shards=3)
     group = ShardGroup(tmp_path / "g")
+
+    def no_round_trip(*args):
+        raise AssertionError("the union reached a worker")
+
+    # the union reads the mapped images: no worker round trip
+    group.scatter = no_round_trip
+    group.call_shard = no_round_trip
     try:
-        rounds = []
-        group.gather_hook = lambda: rounds.append(1)
         query = parse_query("SELECT ?x ?z WHERE { ?x <p> ?y . ?y <q> ?z }")
         union = group.union_store(query_predicates(query))
         key = lambda row: sorted(row.items())
         assert sorted(Evaluator(union).evaluate(query), key=key) == sorted(
             Evaluator(store).evaluate(query), key=key
         )
-        # the union reads the mapped images: no worker round trip
-        assert rounds == []
         assert group._union[1] == {"<p>", "<q>"}
         query = parse_query("SELECT ?x ?p ?y WHERE { ?x ?p ?y }")
         assert query_predicates(query) is None
@@ -901,27 +958,5 @@ def test_query_op_is_deployment_independent_and_cached(tmp_path):
             assert ask["kind"] == "ask" and isinstance(ask["boolean"], bool)
             bad = await sharded.query("g", "SELECT ?x WHERE {{{")
             assert bad["valid"] is False and "reason" in bad
-
-    run(scenario())
-
-
-def test_exchange_counters_surface_through_stats_and_metrics(tmp_path):
-    async def scenario():
-        store, hot, colds = skewed_store()
-        shard_store(store, tmp_path / "g", shards=3)
-        async with EmbeddedService({"g": tmp_path / "g"}) as service:
-            text = f"({hot} | {colds[0]})*"
-            await service.rpq("g", text)
-            stats = await service.stats()
-            shard_stats = stats["shards"]["g"]
-            assert shard_stats["scatter_bytes"] > 0
-            assert shard_stats["gather_bytes"] > 0
-            assert shard_stats["rounds"] > 0
-            # the group's counters mirror into the service metrics
-            metrics = stats["metrics"]
-            assert metrics["scatter_bytes"] == shard_stats["scatter_bytes"]
-            assert metrics["gather_bytes"] == shard_stats["gather_bytes"]
-            assert metrics["shard_rounds"] == shard_stats["rounds"]
-            assert metrics["pruned_entries"] == shard_stats["pruned_entries"]
 
     run(scenario())

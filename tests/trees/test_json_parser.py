@@ -122,3 +122,31 @@ class TestNestingDepth:
     )
     def test_depths(self, text, depth):
         assert json_nesting_depth(parse_json(text)) == depth
+
+
+class TestDeepNesting:
+    """The parser is iterative: nesting far past the interpreter's
+    recursion limit parses, and the JSON oracle counts a
+    ``RecursionError`` from it as a leak."""
+
+    def test_deep_arrays(self):
+        depth = 50_000
+        value = parse_json("[" * depth + "]" * depth)
+        levels = 0
+        while value:
+            (value,) = value
+            levels += 1
+        assert (levels, value) == (depth - 1, [])
+
+    def test_deep_objects(self):
+        depth = 20_000
+        value = parse_json('{"a": ' * depth + "1" + "}" * depth)
+        levels = 0
+        while isinstance(value, dict):
+            value = value["a"]
+            levels += 1
+        assert (levels, value) == (depth, 1)
+
+    def test_deep_unterminated_array_is_a_parse_error(self):
+        with pytest.raises(JSONParseError):
+            parse_json("[" * 50_000)
