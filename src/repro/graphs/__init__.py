@@ -9,7 +9,10 @@ Public surface:
   :class:`TreeDecomposition`, :func:`is_valid_decomposition`
 * Power laws: :func:`fit_power_law`, :func:`ccdf`, :func:`looks_heavy_tailed`
 * Path queries: :func:`evaluate_rpq`, :func:`exists_simple_path`,
-  :func:`exists_trail`, :func:`exists_simple_path_smart`
+  :func:`exists_trail` (on the compiled engine's kernels: a chain fold,
+  a one-pass DAG kernel for acyclic plans, a grouped mask BFS and a
+  multi-source propagation for cyclic ones, and one simple-path/trail
+  DFS that hands downward-closed chains to a walk)
 * Compiled plans: :class:`CompiledRPQ`, :func:`compile_rpq`,
   :func:`configure_plan_cache`, :func:`plan_cache_info`,
   :func:`clear_plan_cache`
@@ -28,8 +31,7 @@ __getattr__, __dir__, __all__ = lazy_surface(__name__, {
     ),
     "parallel": (),
     "paths": (
-        "count_walk_answers", "evaluate_rpq", "exists_simple_path",
-        "exists_simple_path_smart", "exists_trail", "reachable_by_rpq",
+        "evaluate_rpq", "exists_simple_path", "exists_trail",
     ),
     "powerlaw": (
         "PowerLawFit", "ccdf", "degree_histogram", "fit_power_law",

@@ -12,27 +12,28 @@ the store's integer-interned indexes:
 * **Plan cache** — ``glushkov(expr)`` is computed once per canonical
   expression (keyed by a stable structural AST key, LRU-bounded;
   see :func:`configure_plan_cache`).
-* **Bitmask state sets** — automaton state sets are ``int`` bitmasks;
-  per-label transition tables map a state to the bitmask of successor
-  states, so the product BFS steps with integer ``|``/``&`` instead of
-  ``FrozenSet[int]`` churn.  Repeated (state set, label) steps hit a
-  per-plan memo that persists across queries.
-* **Small-automaton determinization** — plans whose Glushkov automaton
-  is small also carry a trimmed DFA (dead states marked); the product
-  BFS and the simple-path/trail DFS then track a single int per
-  automaton component and prune dead prefixes.
+* **One plan encoding** — every plan is ``(start mask, finals mask,
+  per-label deltas, state count)``: automaton state sets are ``int``
+  bitmasks and ``deltas[label][q]`` is the bitmask of states reached
+  from ``q`` by reading ``label``.  Small automata go through a bounded
+  subset construction, trimmed to live states, whose output is the same
+  form with one bit per DFA state; larger ones keep the Glushkov
+  tables.  The usable steps out of each state set are computed once per
+  (plan, store) pair and reused across queries.
 * **Alphabet restriction** — at evaluation time the plan keeps only the
   atoms whose predicate actually occurs in the store, resolved straight
   to the store's per-predicate integer adjacency dicts; all-pairs
   evaluation additionally restricts sources to nodes with a productive
   first edge.
-* **Multi-source evaluation** — for cyclic automata (unbounded walks,
-  where per-source reachable sets are large and overlap) the all-pairs
-  case (``sources=None``) collapses the n per-source BFS runs of the
-  reference into one frontier propagation over the product graph that
-  carries a *source bitmask* per (node, state) vertex; bounded-walk
-  (acyclic) automata keep the pruned per-source BFS, whose frontiers
-  are tiny.
+* **Kernels by language shape** — a chain (``a.b.c``) folds the
+  frontier through one adjacency map per hop; any other acyclic plan
+  takes one pass over its states in topological order; a cyclic plan
+  runs a mask BFS grouped per gained state set for given ``sources``
+  and, for all pairs, one multi-source frontier propagation over the
+  product graph that carries a *source bitmask* per (node, state)
+  vertex.  Simple paths and trails share one DFS, except downward-closed
+  chains (the core of the tractable class C_tract), which one sourced
+  walk decides exactly.
 
 All entry points return exactly the same answers as the reference
 procedures in :mod:`repro.graphs.paths` (enforced by the randomized
@@ -58,14 +59,15 @@ from ..regex.ast import (
     Union,
 )
 from ..regex.automata import glushkov
+from ..regex.chare import is_downward_closed_chain
 from .rdf import TripleStore
 
 #: Determinize plans whose NFA has at most this many states …
 _DFA_STATE_LIMIT = 24
 #: … aborting if the subset construction exceeds this many DFA states.
 _DFA_BLOWUP_LIMIT = 512
-#: Bound on the per-plan (label, state-set) -> state-set step memo.
-_STEP_MEMO_LIMIT = 8192
+#: Bound on the per-resolution state set -> usable steps table.
+_MOVES_LIMIT = 8192
 
 
 def predicates_read(labels: Iterable[str]) -> FrozenSet[str]:
@@ -117,6 +119,17 @@ def _mask_of(states: Iterable[int]) -> int:
     return mask
 
 
+def _step(delta: List[int], mask: int) -> int:
+    """The state set reached from the state set ``mask`` by one
+    transition of the per-state table ``delta``."""
+    result = 0
+    while mask:
+        low = mask & -mask
+        result |= delta[low.bit_length() - 1]
+        mask ^= low
+    return result
+
+
 def _topological_order(successors: List[Iterable[int]]) -> List[int]:
     """Kahn's in-degree count over states ``0 .. n-1``: the states in
     topological order, leaving out every state on or behind a cycle.
@@ -138,40 +151,22 @@ def _topological_order(successors: List[Iterable[int]]) -> List[int]:
     return order
 
 
-#: one resolved atom: (label, NFA delta table, adjacency, pid, inverse)
-_Step = Tuple[str, List[int], Dict[int, List[int]], int, bool]
+#: one resolved atom: (delta table, adjacency, pid, inverse)
+_Step = Tuple[List[int], Dict[int, List[int]], int, bool]
+#: per state, the usable (adjacency, target states) pairs
+_Rows = Tuple[Tuple[Tuple[Dict[int, List[int]], Tuple[int, ...]], ...], ...]
 
 
-def _specialize_dfa_rows(
-    table: List[Dict[str, int]], finals_mask: int, steps: List[_Step]
-) -> Tuple:
-    """Per-DFA-state step rows: for each state, the usable
-    ``(adjacency, next state, accepting)`` tuples: "which steps apply
-    in this state and where do they go" is answered once per plan/store
-    pair instead of by a label lookup per (frontier item, step)."""
-    rows = []
-    for row in table:
-        entries = []
-        for label, _delta, adjacency, _pid, _inv in steps:
-            nxt = row.get(label)
-            if nxt is not None:
-                entries.append(
-                    (adjacency, nxt, bool(finals_mask & (1 << nxt)))
-                )
-        rows.append(tuple(entries))
-    return tuple(rows)
-
-
-def _chain_of(plan_order: Tuple, finals: Tuple[int, ...]):
+def _chain_of(plan_order: Tuple, start: int, finals: Tuple[int, ...]):
     """If the acyclic plan is one linear chain of single-step states
-    ending in its only final state, the adjacency maps to fold through,
-    in order; ``None`` otherwise."""
+    from ``start`` to its only final state, the adjacency maps to fold
+    through, in order; ``None`` otherwise."""
     adjacencies = []
-    expect = 0
+    expect = start
     for state, entries in plan_order:
         if state != expect or len(entries) != 1:
             return None
-        adjacency, nxt, _accepting = entries[0]
+        adjacency, nxt = entries[0]
         adjacencies.append(adjacency)
         expect = nxt
     if not adjacencies or finals != (expect,):
@@ -180,10 +175,10 @@ def _chain_of(plan_order: Tuple, finals: Tuple[int, ...]):
 
 
 def _make_chain_bfs(adjacencies: List[Dict[int, List[int]]]):
-    """The specialized product-BFS closure for a linear-chain plan
-    (``a.b.c``): fold the frontier through one adjacency map per hop —
-    no state table, no visited bookkeeping (each hop dedupes into a
-    fresh set), answers come straight out of the last fold."""
+    """The walk kernel for a linear-chain plan (``a.b.c``): fold the
+    frontier through one adjacency map per hop — no state table, no
+    visited bookkeeping (each hop dedupes into a fresh set), answers
+    come straight out of the last fold."""
     first_get = adjacencies[0].get
     rest_gets = tuple(adjacency.get for adjacency in adjacencies[1:])
 
@@ -208,8 +203,8 @@ def _make_chain_bfs(adjacencies: List[Dict[int, List[int]]]):
     return bfs_hits
 
 
-def _make_dfa_dag_bfs(rows: Tuple, finals_mask: int):
-    """The specialized product-BFS closure for an *acyclic* DFA plan.
+def _make_dag_bfs(rows: _Rows, start_mask: int, finals_mask: int):
+    """The walk kernel for an *acyclic* plan.
 
     With no cycles in the state graph, the per-level BFS collapses into
     one pass over the states in topological order, carrying the set of
@@ -217,56 +212,46 @@ def _make_dfa_dag_bfs(rows: Tuple, finals_mask: int):
     single C-speed ``set.update(neighbours)`` per source-state node
     instead of a Python-level visited check per neighbour.  The
     node-sets computed this way are exactly the visited-(node, state)
-    relation of a per-level product BFS, so the hit set is identical
-    (state 0 is unreachable by edges in a DAG, so the seed never leaks
-    into the answer)."""
+    relation of a per-level product BFS, so the hit set is identical.
+    The start state has no incoming transition (in the Glushkov
+    automaton and in its subset construction alike), so its seed never
+    leaks into the answer.  Linear chains fold instead."""
     num_states = len(rows)
+    # one entry per (adjacency, target state): a nondeterministic row
+    # repeats its adjacency lookups once per target
+    entries_of = [
+        tuple(
+            (adjacency, nxt)
+            for adjacency, targets in entries
+            for nxt in targets
+        )
+        for entries in rows
+    ]
     topo = _topological_order(
-        [[nxt for _adjacency, nxt, _accepting in entries] for entries in rows]
+        [[nxt for _adjacency, nxt in entries] for entries in entries_of]
     )
     plan_order = tuple(
-        (state, rows[state]) for state in topo if rows[state]
+        (state, entries_of[state]) for state in topo if entries_of[state]
     )
     finals = tuple(
         state
         for state in topo
-        if state and (finals_mask >> state) & 1
+        if (finals_mask >> state) & 1 and not (start_mask >> state) & 1
     )
-
-    chain = _chain_of(plan_order, finals)
+    starts = tuple(_iter_bits(start_mask))
+    chain = _chain_of(plan_order, starts[0], finals)
     if chain is not None:
         return _make_chain_bfs(chain)
-    if len(finals) == 1:
-        final_state = finals[0]
-
-        def bfs_hits_single_final(sid: int) -> Set[int]:
-            sets: List[Opt[Set[int]]] = [None] * num_states
-            sets[0] = {sid}
-            for state, entries in plan_order:
-                nodes = sets[state]
-                if not nodes:
-                    continue
-                for adjacency, nxt, _accepting in entries:
-                    out = sets[nxt]
-                    if out is None:
-                        out = sets[nxt] = set()
-                    out_update = out.update
-                    for neighbours in map(adjacency.get, nodes):
-                        if neighbours:
-                            out_update(neighbours)
-            nodes = sets[final_state]
-            return nodes if nodes is not None else set()
-
-        return bfs_hits_single_final
 
     def bfs_hits(sid: int) -> Set[int]:
         sets: List[Opt[Set[int]]] = [None] * num_states
-        sets[0] = {sid}
+        for state in starts:
+            sets[state] = {sid}
         for state, entries in plan_order:
             nodes = sets[state]
             if not nodes:
                 continue
-            for adjacency, nxt, _accepting in entries:
+            for adjacency, nxt in entries:
                 out = sets[nxt]
                 if out is None:
                     out = sets[nxt] = set()
@@ -274,78 +259,26 @@ def _make_dfa_dag_bfs(rows: Tuple, finals_mask: int):
                 for neighbours in map(adjacency.get, nodes):
                     if neighbours:
                         out_update(neighbours)
-        hits: Set[int] = set()
+        # the per-state sets are this call's own, so the first non-empty
+        # final set can become the answer without a copy
+        hits: Opt[Set[int]] = None
         for state in finals:
             nodes = sets[state]
             if nodes:
-                hits |= nodes
-        return hits
+                if hits is None:
+                    hits = nodes
+                else:
+                    hits |= nodes
+        return hits if hits is not None else set()
 
     return bfs_hits
 
 
-def _make_dfa_bfs(rows: Tuple):
-    """The specialized product-BFS closure for a DFA plan.
-
-    The frontier is grouped *per automaton state* (state -> node list)
-    rather than held as (node, state) tuples: step dispatch, the target
-    visited-set, and the accepting flag hoist out of the per-node loop,
-    and visitedness is one set membership per (node, state) instead of
-    bitmask dict arithmetic.  Visit order differs from a tuple-frontier
-    BFS but the visited-(node, state) relation — and therefore the hit
-    set — is identical."""
-    num_states = len(rows)
-
-    def bfs_hits(sid: int) -> Set[int]:
-        visited: List[Opt[Set[int]]] = [None] * num_states
-        visited[0] = {sid}
-        current: Dict[int, List[int]] = {0: [sid]}
-        hits: Set[int] = set()
-        hits_add = hits.add
-        while current:
-            advanced: Dict[int, List[int]] = {}
-            for state, nodes in current.items():
-                for adjacency, nxt, accepting in rows[state]:
-                    seen = visited[nxt]
-                    if seen is None:
-                        seen = visited[nxt] = set()
-                    seen_add = seen.add
-                    adjacency_get = adjacency.get
-                    bucket = advanced.get(nxt)
-                    for nid in nodes:
-                        neighbours = adjacency_get(nid)
-                        if not neighbours:
-                            continue
-                        for other in neighbours:
-                            if other in seen:
-                                continue
-                            seen_add(other)
-                            if bucket is None:
-                                bucket = advanced[nxt] = []
-                            bucket.append(other)
-                            if accepting:
-                                hits_add(other)
-            current = advanced
-        return hits
-
-    return bfs_hits
-
-
-def _make_nfa_bfs(
-    steps: List[_Step],
-    start_mask: int,
-    finals_mask: int,
-    memo: Dict[Tuple[str, int], int],
-):
-    """The specialized product-BFS closure for an NFA-only plan: the
-    frontier is grouped per gained state-set, so the (label, state set)
-    step memo — shared with the plan, persisting across queries — is
-    probed once per (group, label) instead of once per frontier item."""
-    spec = tuple(
-        (label, delta, adjacency)
-        for label, delta, adjacency, _pid, _inv in steps
-    )
-    limit = _STEP_MEMO_LIMIT
+def _make_mask_bfs(moves, start_mask: int, finals_mask: int):
+    """The walk kernel for a cyclic plan from given sources: the
+    frontier is grouped per gained state set, so the usable steps out
+    of a state set are looked up once per group instead of once per
+    frontier item."""
 
     def bfs_hits(sid: int) -> Set[int]:
         reached: Dict[int, int] = {sid: start_mask}
@@ -353,26 +286,11 @@ def _make_nfa_bfs(
         current: Dict[int, List[int]] = {start_mask: [sid]}
         hits: Set[int] = set()
         hits_add = hits.add
-        memo_get = memo.get
         while current:
             advanced: Dict[int, List[int]] = {}
             advanced_get = advanced.get
             for mask, nodes in current.items():
-                for label, delta, adjacency in spec:
-                    key = (label, mask)
-                    targets = memo_get(key)
-                    if targets is None:
-                        targets = 0
-                        rest = mask
-                        while rest:
-                            low = rest & -rest
-                            targets |= delta[low.bit_length() - 1]
-                            rest ^= low
-                        if len(memo) >= limit:
-                            memo.clear()
-                        memo[key] = targets
-                    if not targets:
-                        continue
+                for adjacency, targets, _pid, _inverse in moves(mask):
                     adjacency_get = adjacency.get
                     for nid in nodes:
                         neighbours = adjacency_get(nid)
@@ -395,43 +313,48 @@ def _make_nfa_bfs(
     return bfs_hits
 
 
-class _SpecializedPlan:
-    """The specialized artifacts for one (plan, resolved steps) pair:
-    the product-BFS closure and the per-state propagation rows."""
+class _Resolved:
+    """A plan resolved against one (store, mutation version): the usable
+    steps, the per-state rows, the usable steps out of each state set
+    met so far, and the walk kernel for the plan's shape."""
 
-    __slots__ = ("bfs_hits", "prop_rows")
+    __slots__ = ("steps", "rows", "bfs_hits", "by_mask")
 
     def __init__(self, plan: "CompiledRPQ", steps: List[_Step]):
-        if plan.dfa_table is not None:
-            rows = _specialize_dfa_rows(
-                plan.dfa_table, plan.dfa_finals_mask, steps
+        self.steps = steps
+        self.rows: _Rows = tuple(
+            tuple(
+                (adjacency, tuple(_iter_bits(delta[q])))
+                for delta, adjacency, _pid, _inverse in steps
+                if delta[q]
             )
-            if plan.cyclic:
-                self.bfs_hits = _make_dfa_bfs(rows)
-            else:
-                self.bfs_hits = _make_dfa_dag_bfs(
-                    rows, plan.dfa_finals_mask
-                )
-            self.prop_rows = tuple(
-                tuple(
-                    (adjacency, (row[label],))
-                    for label, _delta, adjacency, _pid, _inv in steps
-                    if label in row
-                )
-                for row in plan.dfa_table
+            for q in range(plan.num_states)
+        )
+        self.by_mask: Dict[int, Tuple] = {}
+        if plan.cyclic:
+            self.bfs_hits = _make_mask_bfs(
+                self.moves, plan.start_mask, plan.finals_mask
             )
         else:
-            self.bfs_hits = _make_nfa_bfs(
-                steps, plan.start_mask, plan.finals_mask, plan._step_memo
+            self.bfs_hits = _make_dag_bfs(
+                self.rows, plan.start_mask, plan.finals_mask
             )
-            self.prop_rows = tuple(
-                tuple(
-                    (adjacency, tuple(_iter_bits(delta[q])))
-                    for _label, delta, adjacency, _pid, _inv in steps
-                    if delta[q]
-                )
-                for q in range(plan.num_states)
+
+    def moves(self, mask: int) -> Tuple:
+        """``(adjacency, next state set, pid, inverse)`` for every step
+        that leaves the state set ``mask`` somewhere, memoized (bounded)
+        across the queries of this resolution."""
+        entries = self.by_mask.get(mask)
+        if entries is None:
+            entries = tuple(
+                (adjacency, nxt, pid, inverse)
+                for delta, adjacency, pid, inverse in self.steps
+                if (nxt := _step(delta, mask))
             )
+            if len(self.by_mask) >= _MOVES_LIMIT:
+                self.by_mask.clear()
+            self.by_mask[mask] = entries
+        return entries
 
 
 class CompiledRPQ:
@@ -439,28 +362,23 @@ class CompiledRPQ:
 
     __slots__ = (
         "expr",
-        "nfa",
         "num_states",
         "start_mask",
         "finals_mask",
         "accepts_empty",
         "atoms",
         "deltas",
-        "dfa_table",
-        "dfa_finals_mask",
+        "determinized",
         "cyclic",
-        "_step_memo",
-        "_atoms_cache",
-        "_special_cache",
+        "subword_closed",
+        "_resolved",
     )
 
     def __init__(self, expr: Regex):
         self.expr = expr
         nfa = glushkov(expr)
-        self.nfa = nfa
         self.num_states = nfa.num_states
-        start = nfa.epsilon_closure(nfa.initial)
-        self.start_mask = _mask_of(start)
+        self.start_mask = _mask_of(nfa.epsilon_closure(nfa.initial))
         self.finals_mask = _mask_of(nfa.finals)
         self.accepts_empty = bool(self.start_mask & self.finals_mask)
         # per-label transition tables: deltas[label][q] is the bitmask of
@@ -476,50 +394,48 @@ class CompiledRPQ:
                 else:
                     table.append(0)
             self.deltas[label] = table
-        # dfa_table[q][label] -> next dfa state; only live (final-reaching)
-        # states are kept, so a missing entry means "dead end, prune"
-        self.dfa_table: Opt[List[Dict[str, int]]] = None
-        self.dfa_finals_mask = 0
-        if nfa.num_states <= _DFA_STATE_LIMIT:
-            self._try_determinize()
+        self.determinized = (
+            nfa.num_states <= _DFA_STATE_LIMIT and self._determinize()
+        )
         self.cyclic = self._has_productive_cycle()
-        self._step_memo: Dict[Tuple[str, int], int] = {}
-        self._atoms_cache: Opt[Tuple] = None
-        self._special_cache: Opt[Tuple[List[_Step], _SpecializedPlan]] = None
+        # downward-closed chains (every factor starred or optional) have
+        # subword-closed languages: walks decide simple paths and trails
+        self.subword_closed = is_downward_closed_chain(expr)
+        self._resolved: Opt[Tuple] = None
 
     # -- compilation -------------------------------------------------------------
 
-    def _try_determinize(self) -> None:
+    def _determinize(self) -> bool:
         """Bounded subset construction over the bitmask tables, trimmed
-        to live states (those from which a final state is reachable)."""
+        to live states (those from which a final state is reachable).
+
+        On success the plan's tables are replaced by the DFA's in the
+        same form, one bit per DFA state, with transitions into dead
+        states dropped; past ``_DFA_BLOWUP_LIMIT`` states the NFA tables
+        stay and this returns ``False``."""
         index: Dict[int, int] = {self.start_mask: 0}
         table: List[Dict[str, int]] = [{}]
-        finals: Set[int] = set()
-        if self.accepts_empty:
-            finals.add(0)
         queue = deque([self.start_mask])
         while queue:
             mask = queue.popleft()
-            src = index[mask]
+            row = table[index[mask]]
             for label in self.atoms:
-                delta = self.deltas[label]
-                rest = mask
-                nxt = 0
-                while rest:
-                    low = rest & -rest
-                    nxt |= delta[low.bit_length() - 1]
-                    rest ^= low
+                nxt = _step(self.deltas[label], mask)
                 if not nxt:
                     continue
                 if nxt not in index:
                     if len(index) >= _DFA_BLOWUP_LIMIT:
-                        return  # plan stays NFA-only
+                        return False
                     index[nxt] = len(table)
                     table.append({})
-                    if nxt & self.finals_mask:
-                        finals.add(index[nxt])
                     queue.append(nxt)
-                table[src][label] = index[nxt]
+                row[label] = index[nxt]
+        # the index maps each subset to its DFA state, in insertion order
+        finals = [
+            state
+            for state, subset in enumerate(index)
+            if subset & self.finals_mask
+        ]
         # trim dead states: reverse reachability from the finals
         reverse: List[Set[int]] = [set() for _ in table]
         for src, row in enumerate(table):
@@ -533,49 +449,48 @@ class CompiledRPQ:
                 if prev not in alive:
                     alive.add(prev)
                     stack.append(prev)
-        self.dfa_table = [
-            {
-                label: dst
-                for label, dst in row.items()
-                if dst in alive
-            }
-            if src in alive
-            else {}
-            for src, row in enumerate(table)
-        ]
-        self.dfa_finals_mask = _mask_of(finals)
+        self.deltas = {
+            label: [
+                1 << row[label]
+                if src in alive and row.get(label) in alive
+                else 0
+                for src, row in enumerate(table)
+            ]
+            for label in self.atoms
+        }
+        self.num_states = len(table)
+        self.start_mask = 1
+        self.finals_mask = _mask_of(finals)
+        return True
 
     def _has_productive_cycle(self) -> bool:
         """Whether the automaton can loop — i.e. the language contains
-        unboundedly long words.  Bounded-walk plans keep cheap per-source
-        BFS for all-pairs; looping plans switch to the multi-source
-        propagation (their per-source reachable sets are large and
-        heavily shared)."""
-        successors: List[Iterable[int]]
-        if self.dfa_table is not None:
-            successors = [row.values() for row in self.dfa_table]
-        else:
-            successors = []
-            for q in range(self.num_states):
-                mask = 0
-                for delta in self.deltas.values():
-                    mask |= delta[q]
-                successors.append(list(_iter_bits(mask)))
+        unboundedly long words.  Acyclic plans take the one-pass DAG
+        kernel; looping plans take the mask BFS from given sources and
+        the multi-source propagation for all pairs (their per-source
+        reachable sets are large and heavily shared)."""
+        successors = []
+        for q in range(self.num_states):
+            mask = 0
+            for delta in self.deltas.values():
+                mask |= delta[q]
+            successors.append(list(_iter_bits(mask)))
         return len(_topological_order(successors)) < len(successors)
 
     # -- store-side resolution --------------------------------------------------
 
-    def _resolve_atoms(self, store: TripleStore) -> List[_Step]:
-        """The alphabet restriction: atoms whose predicate exists in the
-        store, resolved to (label, delta table, adjacency, pid, inverse).
+    def _resolve(self, store: TripleStore) -> _Resolved:
+        """The alphabet restriction — atoms whose predicate exists in
+        the store, resolved to (delta table, adjacency, pid, inverse) —
+        with the rows and walk kernel built on it.
 
         Memoized per (store, mutation version) — on repeated-expression
         workloads every query after the first skips the resolution."""
-        cached = self._atoms_cache
+        cached = self._resolved
         if cached is not None:
-            store_ref, version, steps = cached
+            store_ref, version, resolved = cached
             if store_ref() is store and version == store.version:
-                return steps
+                return resolved
         steps = []
         for label in self.atoms:
             if label.startswith("^"):
@@ -591,28 +506,10 @@ class CompiledRPQ:
                 adjacency = store.forward_adjacency(pid)
                 inverse = False
             if adjacency:
-                steps.append(
-                    (label, self.deltas[label], adjacency, pid, inverse)
-                )
-        self._atoms_cache = (weakref.ref(store), store.version, steps)
-        return steps
-
-    def _step_mask(self, label: str, delta: List[int], mask: int) -> int:
-        """Memoized (state set, label) -> state set transition."""
-        memo = self._step_memo
-        key = (label, mask)
-        result = memo.get(key)
-        if result is None:
-            result = 0
-            rest = mask
-            while rest:
-                low = rest & -rest
-                result |= delta[low.bit_length() - 1]
-                rest ^= low
-            if len(memo) >= _STEP_MEMO_LIMIT:
-                memo.clear()
-            memo[key] = result
-        return result
+                steps.append((self.deltas[label], adjacency, pid, inverse))
+        resolved = _Resolved(self, steps)
+        self._resolved = (weakref.ref(store), store.version, resolved)
+        return resolved
 
     # -- walk semantics ----------------------------------------------------------
 
@@ -626,34 +523,24 @@ class CompiledRPQ:
         language; identical to the reference product BFS.  ``targets``
         filters the answers, never the exploration."""
         target_filter = set(targets) if targets is not None else None
-        steps = self._resolve_atoms(store)
+        resolved = self._resolve(store)
         if sources is not None:
-            return self._evaluate_sources(store, sources, steps, target_filter)
-        return self._evaluate_all_pairs(store, steps, target_filter)
-
-    def _specialized(self, steps: List[_Step]) -> _SpecializedPlan:
-        """The specialized closures for ``steps``, built once per
-        (store, mutation version): the ``steps`` list object itself is
-        the :meth:`_resolve_atoms` memo value, so identity is the
-        freshness check (holding it here also pins it against reuse)."""
-        cached = self._special_cache
-        if cached is not None and cached[0] is steps:
-            return cached[1]
-        special = _SpecializedPlan(self, steps)
-        self._special_cache = (steps, special)
-        return special
+            return self._evaluate_sources(
+                store, sources, resolved, target_filter
+            )
+        return self._evaluate_all_pairs(store, resolved, target_filter)
 
     def _evaluate_sources(
         self,
         store: TripleStore,
         sources: Iterable[str],
-        steps: List[_Step],
+        resolved: _Resolved,
         target_filter: Opt[Set[str]],
     ) -> Set[Tuple[str, str]]:
-        """One bitmask BFS per requested source node."""
+        """One walk-kernel run per requested source node."""
         answers: Set[Tuple[str, str]] = set()
         names = store.node_names()
-        bfs_hits = self._specialized(steps).bfs_hits
+        bfs_hits = resolved.bfs_hits
         for source in sources:
             if self.accepts_empty and (
                 target_filter is None or source in target_filter
@@ -668,30 +555,19 @@ class CompiledRPQ:
                     answers.add((source, name))
         return answers
 
-    def _start_labels(self, steps: List[_Step]) -> List[_Step]:
-        """The steps usable on the very first transition."""
-        if self.dfa_table is not None:
-            row = self.dfa_table[0]
-            return [step for step in steps if step[0] in row]
-        start = self.start_mask
-        return [
-            step
-            for step in steps
-            if self._step_mask(step[0], step[1], start)
-        ]
-
-    def _productive_source_ids(self, steps: List[_Step]) -> List[int]:
+    def _productive_source_ids(self, resolved: _Resolved) -> List[int]:
         """Node ids with at least one usable first edge — the only nodes
-        whose BFS can produce a non-trivial answer."""
+        whose walks can produce a non-trivial answer."""
         candidates: Set[int] = set()
-        for _label, _delta, adjacency, _pid, _inv in self._start_labels(steps):
-            candidates.update(adjacency.keys())
+        for q in _iter_bits(self.start_mask):
+            for adjacency, _targets in resolved.rows[q]:
+                candidates.update(adjacency.keys())
         return sorted(candidates)
 
     def _evaluate_all_pairs(
         self,
         store: TripleStore,
-        steps: List[_Step],
+        resolved: _Resolved,
         target_filter: Opt[Set[str]],
     ) -> Set[Tuple[str, str]]:
         names = store.node_names()
@@ -700,17 +576,15 @@ class CompiledRPQ:
             for name in names:
                 if target_filter is None or name in target_filter:
                     answers.add((name, name))
-        if not steps:
-            return answers
-        productive = self._productive_source_ids(steps)
+        productive = self._productive_source_ids(resolved)
         if not productive:
             return answers
         if self.cyclic:
             self._all_pairs_propagate(
-                names, productive, steps, target_filter, answers
+                names, productive, resolved.rows, target_filter, answers
             )
         else:
-            bfs_hits = self._specialized(steps).bfs_hits
+            bfs_hits = resolved.bfs_hits
             for sid in productive:
                 source = names[sid]
                 for nid in bfs_hits(sid):
@@ -723,7 +597,7 @@ class CompiledRPQ:
         self,
         names: List[str],
         productive: List[int],
-        steps: List[_Step],
+        rows: _Rows,
         target_filter: Opt[Set[str]],
         answers: Set[Tuple[str, str]],
     ) -> None:
@@ -731,18 +605,11 @@ class CompiledRPQ:
         graph: every (node, state) vertex carries the bitmask of
         (productive) source nodes that reach it, so the n per-source BFS
         runs of the reference collapse into one pass of word-wide
-        integer ORs."""
-        if self.dfa_table is not None:
-            num_states = len(self.dfa_table)
-            start_states = [0]
-            finals_mask = self.dfa_finals_mask
-        else:
-            num_states = self.num_states
-            start_states = list(_iter_bits(self.start_mask))
-            finals_mask = self.finals_mask
-        # per-state (adjacency, decoded target states) rows: no label
-        # dispatch and no bitmask decoding per dequeued vertex
-        rows = self._specialized(steps).prop_rows
+        integer ORs.  The per-state rows spare every dequeued vertex the
+        label dispatch and the bitmask decoding."""
+        num_states = self.num_states
+        finals_mask = self.finals_mask
+        start_states = tuple(_iter_bits(self.start_mask))
         # masks[nid * num_states + q] = bitmask over *compacted* source
         # indexes (bit i  <->  productive[i]) reaching (nid, q)
         masks: Dict[int, int] = {}
@@ -804,79 +671,34 @@ class CompiledRPQ:
         forbid_nodes: bool,
     ) -> bool:
         """Exact simple-path (``forbid_nodes``) or trail decision —
-        the compiled counterpart of the reference DFS, identical result."""
+        the compiled counterpart of the reference DFS, identical result.
+
+        A subword-closed plan is decided by one walk from ``source``:
+        cutting the cycles out of a matching walk removes infixes, which
+        keeps the word in the language, and leaves a simple path, which
+        is also a trail."""
         if source == target and self.accepts_empty:
             return True
         sid = store.node_id(source)
         tid = store.node_id(target)
         if sid is None or tid is None:
             return False
-        steps = self._resolve_atoms(store)
-        if not steps:
+        resolved = self._resolve(store)
+        if not resolved.steps:
             return False
-        if self.dfa_table is not None:
-            return self._search_dfa(steps, sid, tid, forbid_nodes)
-        return self._search_nfa(steps, sid, tid, forbid_nodes)
-
-    def _search_dfa(
-        self, steps: List[_Step], sid: int, tid: int, forbid_nodes: bool
-    ) -> bool:
-        table = self.dfa_table
-        finals_mask = self.dfa_finals_mask
-        used_nodes = {sid}
-        used_edges: Set[Tuple[int, int, int]] = set()
-
-        def dfs(nid: int, state: int) -> bool:
-            row = table[state]
-            if not row:
-                return False
-            for label, _delta, adjacency, pid, inverse in steps:
-                next_state = row.get(label)
-                if next_state is None:
-                    continue
-                neighbours = adjacency.get(nid)
-                if not neighbours:
-                    continue
-                accepting = (finals_mask >> next_state) & 1
-                for other in neighbours:
-                    if forbid_nodes:
-                        if other in used_nodes:
-                            continue
-                        if other == tid and accepting:
-                            return True
-                        used_nodes.add(other)
-                        if dfs(other, next_state):
-                            return True
-                        used_nodes.discard(other)
-                    else:
-                        edge = (
-                            (other, pid, nid) if inverse else (nid, pid, other)
-                        )
-                        if edge in used_edges:
-                            continue
-                        if other == tid and accepting:
-                            return True
-                        used_edges.add(edge)
-                        if dfs(other, next_state):
-                            return True
-                        used_edges.discard(edge)
-            return False
-
-        return dfs(sid, 0)
-
-    def _search_nfa(
-        self, steps: List[_Step], sid: int, tid: int, forbid_nodes: bool
-    ) -> bool:
+        if self.subword_closed:
+            return tid in resolved.bfs_hits(sid)
         finals = self.finals_mask
         used_nodes = {sid}
         used_edges: Set[Tuple[int, int, int]] = set()
-        step_mask = self._step_mask
+        by_mask_get = resolved.by_mask.get
+        moves = resolved.moves
 
         def dfs(nid: int, mask: int) -> bool:
-            for label, delta, adjacency, pid, inverse in steps:
-                next_mask = step_mask(label, delta, mask)
-                if not next_mask:
-                    continue
+            entries = by_mask_get(mask)
+            if entries is None:
+                entries = moves(mask)
+            for adjacency, next_mask, pid, inverse in entries:
                 neighbours = adjacency.get(nid)
                 if not neighbours:
                     continue

@@ -9,14 +9,14 @@ Three semantics, mirroring the theory the paper surveys:
 * **Simple-path semantics** — the walk must not repeat nodes.
   NP-complete in general (Mendelzon & Wood); tractable exactly for the
   class C_tract (Bagan, Bonifati & Groz).  :func:`exists_simple_path`
-  is the exact (exponential worst-case) decision procedure;
-  :func:`exists_simple_path_smart` routes downward-closed-chain
-  expressions through walk semantics (cutting cycles out of a matching
-  walk keeps the word in a subword-closed language, so walk-reachability
-  and simple-path-reachability coincide — the tractability mechanism
-  behind C_tract).
+  is the exact (exponential worst-case) decision procedure, except on
+  downward-closed chains, which it decides by walk semantics (cutting
+  cycles out of a matching walk keeps the word in a subword-closed
+  language, so walk-reachability and simple-path-reachability
+  coincide — the tractability mechanism behind C_tract).
 * **Trail semantics** — no repeated *edges* (the Cypher default);
-  :func:`exists_trail` is the exact procedure.
+  :func:`exists_trail` is the exact procedure, with the same
+  downward-closed-chain route.
 
 Two-way expressions (2RPQs) are supported by the inverse-atom
 convention: a symbol ``^p`` traverses a ``p``-edge backwards.
@@ -36,7 +36,6 @@ from typing import FrozenSet, Iterable, Optional as Opt, Set, Tuple
 
 from ..regex.ast import Regex
 from ..regex.automata import NFA, glushkov
-from ..regex.chare import is_downward_closed_chain
 from .engine import compile_rpq
 from .rdf import TripleStore
 
@@ -114,13 +113,6 @@ def evaluate_rpq_reference(
     return answers
 
 
-def reachable_by_rpq(
-    store: TripleStore, expr: Regex, source: str
-) -> Set[str]:
-    """Nodes reachable from ``source`` under walk semantics."""
-    return {v for _u, v in evaluate_rpq(store, expr, sources=[source])}
-
-
 # ---------------------------------------------------------------------------
 # Simple paths and trails (exact procedures)
 # ---------------------------------------------------------------------------
@@ -185,14 +177,16 @@ def exists_simple_path(
     store: TripleStore, expr: Regex, source: str, target: str
 ) -> bool:
     """Exact simple-path decision (no repeated nodes); NP-hard in
-    general, fine on study-sized graphs."""
+    general, fine on study-sized graphs, and one walk on
+    downward-closed chains."""
     return compile_rpq(expr).search(store, source, target, forbid_nodes=True)
 
 
 def exists_trail(
     store: TripleStore, expr: Regex, source: str, target: str
 ) -> bool:
-    """Exact trail decision (no repeated edges)."""
+    """Exact trail decision (no repeated edges); one walk on
+    downward-closed chains."""
     return compile_rpq(expr).search(store, source, target, forbid_nodes=False)
 
 
@@ -208,28 +202,3 @@ def exists_trail_reference(
 ) -> bool:
     """Uncompiled trail decision (the equivalence-test oracle)."""
     return _search(store, glushkov(expr), source, target, forbid_nodes=False)
-
-
-def exists_simple_path_smart(
-    store: TripleStore, expr: Regex, source: str, target: str
-) -> bool:
-    """Simple-path decision with the C_tract fast path.
-
-    For downward-closed chains (all factors optional/starred — the
-    engine room of C_tract) a matching walk can always be shortened to a
-    simple path by cutting cycles, because cutting removes an infix and
-    subword-closed languages survive infix removal.  Walk semantics then
-    answers the simple-path question in polynomial time.  Everything
-    else falls back to the exact exponential search.
-    """
-    if is_downward_closed_chain(expr):
-        pairs = evaluate_rpq(
-            store, expr, sources=[source], targets=[target]
-        )
-        return (source, target) in pairs
-    return exists_simple_path(store, expr, source, target)
-
-
-def count_walk_answers(store: TripleStore, expr: Regex) -> int:
-    """|answers| under walk semantics — used by the benches."""
-    return len(evaluate_rpq(store, expr))

@@ -19,6 +19,13 @@ one-or-more otherwise (as in ``a+``).  In the rare case you need
 ``(a+)b``.
 
 Epsilon can be written ``()`` or ``eps``; the empty language ``[]``.
+
+Nesting is bounded: each group and each postfix operator adds one level
+on top of what it applies to, and an expression nested deeper than
+:data:`MAX_NESTING` levels is a :class:`~repro.errors.RegexParseError`.
+Every consumer of the AST (plan keys, automata constructions,
+rendering) recurses once or more per level, so the bound turns a
+stack overflow into a parse error.
 """
 
 from __future__ import annotations
@@ -39,6 +46,9 @@ from .ast import (
 )
 
 _PUNCT_SYMBOLS = "#$%&@;:<>=~"
+
+#: Deepest nesting of groups and postfix operators :func:`parse` accepts.
+MAX_NESTING = 100
 
 
 class _Token(NamedTuple):
@@ -157,6 +167,10 @@ class _Parser:
         self.source = source
         self.index = 0
         self.union_plus = union_plus
+        # open groups on the descent, and the nesting height of the
+        # subexpression parsed last (groups and postfix operators count)
+        self.open_groups = 0
+        self.height = 0
 
     def peek(self, ahead: int = 0):
         pos = self.index + ahead
@@ -181,21 +195,31 @@ class _Parser:
     #          factor := atom ('*'|'?'|postfix '+')*
     #          atom := SYM | '(' expr ')' | EPS | EMPTYLANG
 
+    def _nest(self, height: int, token: _Token) -> int:
+        if height > MAX_NESTING:
+            raise RegexParseError(
+                f"expression nests deeper than {MAX_NESTING} groups and "
+                f"postfix operators",
+                position=token.pos,
+            )
+        return height
+
     def parse_expr(self) -> Regex:
         parts = [self.parse_term()]
+        height = self.height
         while True:
             token = self.peek()
             if token is None:
                 break
-            if token.kind == "PIPE":
+            if token.kind == "PIPE" or (
+                token.kind == "PLUS" and self._plus_is_union()
+            ):
                 self.advance()
                 parts.append(self.parse_term())
-                continue
-            if token.kind == "PLUS" and self._plus_is_union():
-                self.advance()
-                parts.append(self.parse_term())
+                height = max(height, self.height)
                 continue
             break
+        self.height = height
         if len(parts) == 1:
             return parts[0]
         return Union(tuple(parts))
@@ -218,6 +242,7 @@ class _Parser:
 
     def parse_term(self) -> Regex:
         parts = [self.parse_factor()]
+        height = self.height
         while True:
             token = self.peek()
             if token is None or token.kind in ("PIPE", "RPAREN"):
@@ -230,6 +255,8 @@ class _Parser:
                     "dangling postfix operator", position=token.pos
                 )
             parts.append(self.parse_factor())
+            height = max(height, self.height)
+        self.height = height
         if len(parts) == 1:
             return parts[0]
         return Concat(tuple(parts))
@@ -241,18 +268,15 @@ class _Parser:
             if token is None:
                 break
             if token.kind == "STAR":
-                self.advance()
                 node = Star(node)
-                continue
-            if token.kind == "QMARK":
-                self.advance()
+            elif token.kind == "QMARK":
                 node = Optional(node)
-                continue
-            if token.kind == "PLUS" and not self._plus_is_union():
-                self.advance()
+            elif token.kind == "PLUS" and not self._plus_is_union():
                 node = Plus(node)
-                continue
-            break
+            else:
+                break
+            self.height = self._nest(self.height + 1, token)
+            self.advance()
         return node
 
     def parse_atom(self) -> Regex:
@@ -261,6 +285,15 @@ class _Parser:
             raise RegexParseError(
                 "unexpected end of expression", position=len(self.source)
             )
+        if token.kind == "LPAREN":
+            self.open_groups = self._nest(self.open_groups + 1, token)
+            self.advance()
+            inner = self.parse_expr()
+            self.expect("RPAREN")
+            self.open_groups -= 1
+            self.height = self._nest(self.height + 1, token)
+            return inner
+        self.height = 0
         if token.kind == "SYM":
             self.advance()
             return Symbol(token.text)
@@ -270,11 +303,6 @@ class _Parser:
         if token.kind == "EMPTYLANG":
             self.advance()
             return EMPTY
-        if token.kind == "LPAREN":
-            self.advance()
-            inner = self.parse_expr()
-            self.expect("RPAREN")
-            return inner
         raise RegexParseError(
             f"unexpected token {token.text!r}", position=token.pos
         )

@@ -14,6 +14,7 @@ import json as _json
 import random
 from typing import Any, Dict, Iterable, List, Optional as Opt, Tuple
 
+from ..graphs.engine import _DFA_BLOWUP_LIMIT, _DFA_STATE_LIMIT
 from ..regex.ast import (
     EMPTY,
     EPSILON,
@@ -456,8 +457,32 @@ _RPQ_PREDICATES = ("p", "q", "r")
 _RPQ_ATOMS = ("p", "q", "r", "^p", "^q")
 
 
+def _nfa_only_rpq_expr(rng: random.Random) -> Regex:
+    """An expression whose compiled plan keeps its Glushkov tables: a
+    ``(x|y)* x (x|y)^k`` whose subset construction passes
+    ``_DFA_BLOWUP_LIMIT`` states, or a concatenation of more than
+    ``_DFA_STATE_LIMIT`` mostly optional atoms (so a small graph still
+    has answers)."""
+    x, y = (Symbol(label) for label in rng.sample(_RPQ_ATOMS, 2))
+    if rng.random() < 0.5:
+        pair = Union((x, y))
+        width = _DFA_BLOWUP_LIMIT.bit_length() - 1
+        return Concat((Star(pair), x) + (pair,) * width)
+    factors: List[Regex] = []
+    for _ in range(rng.randrange(_DFA_STATE_LIMIT + 1, _DFA_STATE_LIMIT + 7)):
+        atom = Symbol(rng.choice(_RPQ_ATOMS))
+        roll = rng.random()
+        factors.append(
+            Optional(atom) if roll < 0.7 else Star(atom) if roll < 0.8 else atom
+        )
+    return Concat(tuple(factors))
+
+
 def random_rpq_case(rng: random.Random) -> Dict[str, Any]:
-    """A store + expression + endpoints + semantics choice."""
+    """A store + expression + endpoints + semantics choice.  One case in
+    eight draws an expression past the engine's determinization limits,
+    so plans built from Glushkov tables get fuzzed next to determinized
+    ones."""
     node_pool = _RPQ_NODES[: rng.randrange(2, len(_RPQ_NODES) + 1)]
     triples = sorted(
         {
@@ -469,9 +494,12 @@ def random_rpq_case(rng: random.Random) -> Dict[str, Any]:
             for _ in range(rng.randrange(0, 13))
         }
     )
-    expr = random_regex_ast(
-        rng, _RPQ_ATOMS, rng.randrange(1, 4), allow_empty=True
-    )
+    if rng.random() < 0.125:
+        expr = _nfa_only_rpq_expr(rng)
+    else:
+        expr = random_regex_ast(
+            rng, _RPQ_ATOMS, rng.randrange(1, 4), allow_empty=True
+        )
     ghosts = node_pool + ("ghost",)
     return {
         "triples": [list(t) for t in triples],

@@ -32,7 +32,6 @@ from ..graphs.paths import (
     evaluate_rpq_reference,
     exists_simple_path,
     exists_simple_path_reference,
-    exists_simple_path_smart,
     exists_trail,
     exists_trail_reference,
 )
@@ -437,12 +436,6 @@ class RPQOracle(Oracle):
                 return (
                     f"simple-path divergence at ({source}, {target}): "
                     f"engine={fast} reference={ref}"
-                )
-            smart = exists_simple_path_smart(store, expr, source, target)
-            if smart != ref:
-                return (
-                    f"simple-path smart-route divergence at "
-                    f"({source}, {target}): smart={smart} reference={ref}"
                 )
             return None
         fast = exists_trail(store, expr, source, target)

@@ -19,7 +19,6 @@ from repro.graphs.paths import (
     evaluate_rpq_reference,
     exists_simple_path,
     exists_simple_path_reference,
-    exists_simple_path_smart,
     exists_trail,
     exists_trail_reference,
 )
@@ -42,10 +41,10 @@ SEARCH_EXPRS = ["a*b?", "(a+b)*", "a(^b)a?", "(ab)+", "ab*+c"]
 
 DC_CHAIN_EXPRS = ["a*b?", "a?b*c?", "(a+b)*"]
 
-#: plans that keep no DFA, so only the NFA closures evaluate them: a
-#: cyclic one whose subset construction blows past _DFA_BLOWUP_LIMIT,
-#: and an acyclic one with more states than _DFA_STATE_LIMIT
-NFA_ONLY_EXPRS = ["(a+b)*a" + "(a+b)" * 9, "a" * 25]
+#: plans that keep their Glushkov tables: a cyclic one whose subset
+#: construction blows past _DFA_BLOWUP_LIMIT, and an acyclic chain and
+#: an acyclic non-chain with more states than _DFA_STATE_LIMIT
+NFA_ONLY_EXPRS = ["(a+b)*a" + "(a+b)" * 9, "a" * 25, "(a+^b)" * 13]
 
 
 def labeled_powerlaw_store(
@@ -111,10 +110,12 @@ class TestWalkEquivalence:
 
 class TestNFAOnlyPlans:
     def test_plans_keep_no_dfa(self):
-        cyclic, acyclic = (compile_rpq(parse(t)) for t in NFA_ONLY_EXPRS)
-        assert cyclic.dfa_table is None and cyclic.cyclic
-        assert acyclic.dfa_table is None and not acyclic.cyclic
-        assert acyclic.num_states == 26
+        cyclic, chain, dag = (compile_rpq(parse(t)) for t in NFA_ONLY_EXPRS)
+        assert not cyclic.determinized and cyclic.cyclic
+        assert not chain.determinized and not chain.cyclic
+        assert chain.num_states == 26
+        assert not dag.determinized and not dag.cyclic
+        assert compile_rpq(parse("(a+b)*a")).determinized
 
     def test_all_pairs_and_sources(self):
         rng = random.Random(31)
@@ -175,17 +176,26 @@ class TestSearchEquivalence:
                         )
 
     def test_smart_ctract_fast_path(self):
+        # downward-closed chains are decided by one walk, exactly
         rng = random.Random(22)
         for _trial in range(3):
             store = labeled_powerlaw_store(rng, 10)
             nodes = sorted(store.nodes())[:7]
             for text in DC_CHAIN_EXPRS:
                 expr = parse(text)
+                assert compile_rpq(expr).subword_closed, text
                 for u in nodes:
                     for v in nodes:
-                        assert exists_simple_path_smart(
+                        assert exists_simple_path(
                             store, expr, u, v
                         ) == exists_simple_path_reference(store, expr, u, v), (
+                            text,
+                            u,
+                            v,
+                        )
+                        assert exists_trail(
+                            store, expr, u, v
+                        ) == exists_trail_reference(store, expr, u, v), (
                             text,
                             u,
                             v,
@@ -223,23 +233,25 @@ class TestPlanCache:
 
 
 class TestSpecializedClosures:
-    """Each plan shape compiles to its own specialized step closure."""
+    """The walk kernel follows the language's shape, whichever way the
+    plan was built."""
 
     def test_closure_selection(self):
         # chains fold through adjacency maps; other acyclic plans take
-        # the one-pass DAG closure; cyclic DFA plans group the frontier;
-        # plans left without a DFA group it per NFA state set
+        # the one-pass DAG kernel; cyclic plans run the mask BFS —
+        # determinized plans and Glushkov-table plans alike
         store = labeled_powerlaw_store(random.Random(22), 20)
         for text, variant in [
             ("abc", "_make_chain_bfs"),
             ("a", "_make_chain_bfs"),
-            ("a(b+^c)", "_make_dfa_dag_bfs"),
-            ("(ab)+", "_make_dfa_bfs"),
-            (NFA_ONLY_EXPRS[1], "_make_nfa_bfs"),
+            (NFA_ONLY_EXPRS[1], "_make_chain_bfs"),
+            ("a(b+^c)", "_make_dag_bfs"),
+            (NFA_ONLY_EXPRS[2], "_make_dag_bfs"),
+            ("(ab)+", "_make_mask_bfs"),
+            (NFA_ONLY_EXPRS[0], "_make_mask_bfs"),
         ]:
             plan = compile_rpq(parse(text))
-            steps = plan._resolve_atoms(store)
-            closure = plan._specialized(steps).bfs_hits
+            closure = plan._resolve(store).bfs_hits
             assert variant in closure.__qualname__, (text, variant)
 
     def test_specialization_tracks_store_mutation(self):

@@ -7,12 +7,11 @@ import pytest
 
 from repro.graphs.generator import foaf_rdf, web_graph
 from repro.graphs.paths import (
-    count_walk_answers,
     evaluate_rpq,
     exists_simple_path,
-    exists_simple_path_smart,
+    exists_simple_path_reference,
     exists_trail,
-    reachable_by_rpq,
+    exists_trail_reference,
 )
 from repro.graphs.powerlaw import (
     ccdf,
@@ -56,7 +55,8 @@ class TestWalkSemantics:
         assert pairs == {("n1", "n4")}
 
     def test_reachable(self):
-        assert reachable_by_rpq(chain_store(), parse("a+"), "n1") == {
+        pairs = evaluate_rpq(chain_store(), parse("a+"), sources=["n1"])
+        assert {v for _u, v in pairs} == {
             "n2",
             "n3",
         }
@@ -71,7 +71,7 @@ class TestWalkSemantics:
         assert ("n1", "n1") in pairs
 
     def test_count(self):
-        assert count_walk_answers(chain_store(), parse("b")) == 2
+        assert len(evaluate_rpq(chain_store(), parse("b"))) == 2
 
 
 class TestSimplePathAndTrail:
@@ -125,9 +125,16 @@ class TestSimplePathAndTrail:
             for expr in exprs:
                 for u in nodes:
                     for v in nodes:
-                        assert exists_simple_path_smart(
+                        assert exists_simple_path(
                             store, expr, u, v
-                        ) == exists_simple_path(store, expr, u, v), (
+                        ) == exists_simple_path_reference(store, expr, u, v), (
+                            expr,
+                            u,
+                            v,
+                        )
+                        assert exists_trail(
+                            store, expr, u, v
+                        ) == exists_trail_reference(store, expr, u, v), (
                             expr,
                             u,
                             v,

@@ -13,7 +13,7 @@ from repro.regex.ast import (
     Symbol,
     Union,
 )
-from repro.regex.parser import parse
+from repro.regex.parser import MAX_NESTING, parse
 
 
 class TestAtoms:
@@ -165,3 +165,21 @@ class TestErrors:
         with pytest.raises(RegexParseError) as info:
             parse("a)")
         assert info.value.position == 1
+
+    @pytest.mark.parametrize(
+        "nested",
+        [
+            lambda n: "(" * n + "a" + ")" * n,
+            lambda n: "a" + "*" * n,
+            lambda n: "(" * n + "a" + "b|a)" * n,
+            lambda n: "(" * (n // 2) + "a" + ")?" * (n // 2) + "+" * (n % 2),
+        ],
+    )
+    def test_nesting_bound(self, nested):
+        # groups and postfix operators each nest one level; one past the
+        # bound is a parse error, not a RecursionError
+        parse(nested(MAX_NESTING))
+        with pytest.raises(RegexParseError, match="nests deeper"):
+            parse(nested(MAX_NESTING + 1))
+        with pytest.raises(RegexParseError, match="nests deeper"):
+            parse(nested(3000))

@@ -18,7 +18,7 @@ from repro.errors import (
 from repro.graphs.paths import evaluate_rpq, exists_simple_path, exists_trail
 from repro.graphs.rdf import TripleStore
 from repro.logs.analyzer import encode_analysis
-from repro.regex.parser import parse as parse_regex
+from repro.regex.parser import MAX_NESTING, parse as parse_regex
 from repro.service import EmbeddedService, ServiceConfig
 from repro.sparql.features import operator_set
 from repro.sparql.parser import parse_query
@@ -190,6 +190,32 @@ def test_bad_requests_are_typed():
                 await service.call("frobnicate")
             with pytest.raises(BadRequest, match="deadline_ms"):
                 await service.call("ping", deadline_ms=-5)
+
+    run(scenario())
+
+
+def test_rpq_nesting_bound_is_a_bad_request():
+    # deeper expressions used to overflow the parser's stack and answer
+    # "internal"; the parser's nesting bound makes them bad requests
+    async def scenario():
+        async with EmbeddedService({"g": small_store()}) as service:
+            for nested in (
+                lambda n: "(" * n + "p" + ")" * n,
+                lambda n: "p" + "*" * n,
+                lambda n: "(" * n + "p" + " q | p)" * n,
+            ):
+                for semantics, ends in (
+                    ("walk", {}),
+                    ("simple", {"source": "a", "target": "d"}),
+                    ("trail", {"source": "a", "target": "d"}),
+                ):
+                    await service.rpq("g", nested(MAX_NESTING), semantics, **ends)
+                    with pytest.raises(BadRequest, match="nests deeper"):
+                        await service.rpq(
+                            "g", nested(MAX_NESTING + 1), semantics, **ends
+                        )
+            with pytest.raises(BadRequest, match="nests deeper"):
+                await service.rpq("g", "p" + "*" * 3000)
 
     run(scenario())
 

@@ -138,6 +138,12 @@ class TestDeepNesting:
             levels += 1
         assert (levels, value) == (depth - 1, [])
 
+    def test_nesting_depth_of_deep_values(self):
+        depth = 50_000
+        assert json_nesting_depth(parse_json("[" * depth + "]" * depth)) == depth
+        value = parse_json('{"a": ' * 20_000 + "[1, {}]" + "}" * 20_000)
+        assert json_nesting_depth(value) == 20_002
+
     def test_deep_objects(self):
         depth = 20_000
         value = parse_json('{"a": ' * depth + "1" + "}" * depth)
