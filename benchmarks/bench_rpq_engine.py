@@ -16,6 +16,7 @@ or via pytest (the equality checks plus the >= 3x compiled-vs-seed
 gate then run).
 """
 
+import gc
 import json
 import os
 import pathlib
@@ -119,13 +120,26 @@ def run_workload(store, cyclic_store, sources, evaluate):
 
 def run_benchmark():
     store, cyclic_store, sources = build_workload()
-    seed_answers, seed_timings = run_workload(
-        store, cyclic_store, sources, evaluate_rpq_reference
-    )
-    clear_plan_cache()
-    compiled_answers, compiled_timings = run_workload(
-        store, cyclic_store, sources, evaluate_rpq
-    )
+    # freeze everything built so far before each side's timed run (the
+    # stores, the host process's heap -- pytest holds far more than a
+    # plain interpreter -- and the seed side's answers): otherwise every
+    # full collection a timed phase triggers re-traverses them, and that
+    # cost depends on the host process and on the side order, not on
+    # the engine
+    gc.collect()
+    gc.freeze()
+    try:
+        seed_answers, seed_timings = run_workload(
+            store, cyclic_store, sources, evaluate_rpq_reference
+        )
+        clear_plan_cache()
+        gc.collect()
+        gc.freeze()
+        compiled_answers, compiled_timings = run_workload(
+            store, cyclic_store, sources, evaluate_rpq
+        )
+    finally:
+        gc.unfreeze()
     assert seed_answers == compiled_answers, "engines disagree"
     seed_total = sum(seed_timings.values())
     compiled_total = sum(compiled_timings.values())

@@ -10,9 +10,10 @@ Public surface:
 * Power laws: :func:`fit_power_law`, :func:`ccdf`, :func:`looks_heavy_tailed`
 * Path queries: :func:`evaluate_rpq`, :func:`exists_simple_path`,
   :func:`exists_trail` (on the compiled engine's kernels: a chain fold,
-  a one-pass DAG kernel for acyclic plans, a grouped mask BFS and a
-  multi-source propagation for cyclic ones, and one simple-path/trail
-  DFS that hands downward-closed chains to a walk)
+  a one-pass DAG kernel for acyclic plans, a grouped mask BFS and, for
+  all pairs, a level-synchronous multi-source BFS grouped per automaton
+  state for cyclic ones, and one simple-path/trail DFS that hands
+  downward-closed chains to a walk)
 * Compiled plans: :class:`CompiledRPQ`, :func:`compile_rpq`,
   :func:`configure_plan_cache`, :func:`plan_cache_info`,
   :func:`clear_plan_cache`

@@ -24,16 +24,16 @@ the store's integer-interned indexes:
   atoms whose predicate actually occurs in the store, resolved straight
   to the store's per-predicate integer adjacency dicts; all-pairs
   evaluation additionally restricts sources to nodes with a productive
-  first edge.
+  first edge, computed once per resolution.
 * **Kernels by language shape** — a chain (``a.b.c``) folds the
   frontier through one adjacency map per hop; any other acyclic plan
   takes one pass over its states in topological order; a cyclic plan
   runs a mask BFS grouped per gained state set for given ``sources``
-  and, for all pairs, one multi-source frontier propagation over the
-  product graph that carries a *source bitmask* per (node, state)
-  vertex.  Simple paths and trails share one DFS, except downward-closed
-  chains (the core of the tractable class C_tract), which one sourced
-  walk decides exactly.
+  and, for all pairs, one level-synchronous multi-source BFS grouped
+  per automaton state (MS-BFS) that carries a *source bitmask* per
+  (node, state) vertex.  Simple paths and trails share one DFS, except
+  downward-closed chains (the core of the tractable class C_tract),
+  which one sourced walk decides exactly.
 
 All entry points return exactly the same answers as the reference
 procedures in :mod:`repro.graphs.paths` (enforced by the randomized
@@ -45,7 +45,7 @@ from __future__ import annotations
 import threading
 import weakref
 from collections import OrderedDict, deque
-from typing import Dict, FrozenSet, Iterable, List, Optional as Opt, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional as Opt, Set, Tuple
 
 from ..regex.ast import (
     Concat,
@@ -153,34 +153,35 @@ def _topological_order(successors: List[Iterable[int]]) -> List[int]:
 
 #: one resolved atom: (delta table, adjacency, pid, inverse)
 _Step = Tuple[List[int], Dict[int, List[int]], int, bool]
-#: per state, the usable (adjacency, target states) pairs
-_Rows = Tuple[Tuple[Tuple[Dict[int, List[int]], Tuple[int, ...]], ...], ...]
+#: per state, one (adjacency lookup, next state) entry per usable
+#: transition out of it
+_Entries = Tuple[Tuple[Tuple[Callable[[int], Opt[List[int]]], int], ...], ...]
 
 
 def _chain_of(plan_order: Tuple, start: int, finals: Tuple[int, ...]):
     """If the acyclic plan is one linear chain of single-step states
-    from ``start`` to its only final state, the adjacency maps to fold
-    through, in order; ``None`` otherwise."""
-    adjacencies = []
+    from ``start`` to its only final state, the adjacency lookups to
+    fold through, in order; ``None`` otherwise."""
+    gets = []
     expect = start
     for state, entries in plan_order:
         if state != expect or len(entries) != 1:
             return None
-        adjacency, nxt = entries[0]
-        adjacencies.append(adjacency)
+        adjacency_get, nxt = entries[0]
+        gets.append(adjacency_get)
         expect = nxt
-    if not adjacencies or finals != (expect,):
+    if not gets or finals != (expect,):
         return None
-    return adjacencies
+    return gets
 
 
-def _make_chain_bfs(adjacencies: List[Dict[int, List[int]]]):
+def _make_chain_bfs(gets: List[Callable[[int], Opt[List[int]]]]):
     """The walk kernel for a linear-chain plan (``a.b.c``): fold the
     frontier through one adjacency map per hop — no state table, no
     visited bookkeeping (each hop dedupes into a fresh set), answers
     come straight out of the last fold."""
-    first_get = adjacencies[0].get
-    rest_gets = tuple(adjacency.get for adjacency in adjacencies[1:])
+    first_get = gets[0]
+    rest_gets = tuple(gets[1:])
 
     def bfs_hits(sid: int) -> Set[int]:
         nodes = first_get(sid)
@@ -203,7 +204,7 @@ def _make_chain_bfs(adjacencies: List[Dict[int, List[int]]]):
     return bfs_hits
 
 
-def _make_dag_bfs(rows: _Rows, start_mask: int, finals_mask: int):
+def _make_dag_bfs(entries: _Entries, start_mask: int, finals_mask: int):
     """The walk kernel for an *acyclic* plan.
 
     With no cycles in the state graph, the per-level BFS collapses into
@@ -216,22 +217,10 @@ def _make_dag_bfs(rows: _Rows, start_mask: int, finals_mask: int):
     The start state has no incoming transition (in the Glushkov
     automaton and in its subset construction alike), so its seed never
     leaks into the answer.  Linear chains fold instead."""
-    num_states = len(rows)
-    # one entry per (adjacency, target state): a nondeterministic row
-    # repeats its adjacency lookups once per target
-    entries_of = [
-        tuple(
-            (adjacency, nxt)
-            for adjacency, targets in entries
-            for nxt in targets
-        )
-        for entries in rows
-    ]
-    topo = _topological_order(
-        [[nxt for _adjacency, nxt in entries] for entries in entries_of]
-    )
+    num_states = len(entries)
+    topo = _topological_order([[nxt for _get, nxt in row] for row in entries])
     plan_order = tuple(
-        (state, entries_of[state]) for state in topo if entries_of[state]
+        (state, entries[state]) for state in topo if entries[state]
     )
     finals = tuple(
         state
@@ -247,16 +236,16 @@ def _make_dag_bfs(rows: _Rows, start_mask: int, finals_mask: int):
         sets: List[Opt[Set[int]]] = [None] * num_states
         for state in starts:
             sets[state] = {sid}
-        for state, entries in plan_order:
+        for state, row in plan_order:
             nodes = sets[state]
             if not nodes:
                 continue
-            for adjacency, nxt in entries:
+            for adjacency_get, nxt in row:
                 out = sets[nxt]
                 if out is None:
                     out = sets[nxt] = set()
                 out_update = out.update
-                for neighbours in map(adjacency.get, nodes):
+                for neighbours in map(adjacency_get, nodes):
                     if neighbours:
                         out_update(neighbours)
         # the per-state sets are this call's own, so the first non-empty
@@ -315,30 +304,43 @@ def _make_mask_bfs(moves, start_mask: int, finals_mask: int):
 
 class _Resolved:
     """A plan resolved against one (store, mutation version): the usable
-    steps, the per-state rows, the usable steps out of each state set
-    met so far, and the walk kernel for the plan's shape."""
+    steps, the per-state entries, the usable steps out of each state set
+    met so far, the walk kernel for the plan's shape and, once an
+    all-pairs query asks, the productive sources."""
 
-    __slots__ = ("steps", "rows", "bfs_hits", "by_mask")
+    __slots__ = ("steps", "entries", "bfs_hits", "by_mask", "_productive")
 
     def __init__(self, plan: "CompiledRPQ", steps: List[_Step]):
         self.steps = steps
-        self.rows: _Rows = tuple(
+        self.entries: _Entries = tuple(
             tuple(
-                (adjacency, tuple(_iter_bits(delta[q])))
+                (adjacency.get, nxt)
                 for delta, adjacency, _pid, _inverse in steps
-                if delta[q]
+                for nxt in _iter_bits(delta[q])
             )
             for q in range(plan.num_states)
         )
         self.by_mask: Dict[int, Tuple] = {}
+        self._productive: Opt[List[int]] = None
         if plan.cyclic:
             self.bfs_hits = _make_mask_bfs(
                 self.moves, plan.start_mask, plan.finals_mask
             )
         else:
             self.bfs_hits = _make_dag_bfs(
-                self.rows, plan.start_mask, plan.finals_mask
+                self.entries, plan.start_mask, plan.finals_mask
             )
+
+    def productive(self, start_mask: int) -> List[int]:
+        """Node ids with a usable first edge out of the start states
+        ``start_mask``, ascending — the only sources whose walks can
+        produce a non-trivial answer.  Computed once per resolution."""
+        if self._productive is None:
+            candidates: Set[int] = set()
+            for adjacency, _nxt, _pid, _inverse in self.moves(start_mask):
+                candidates.update(adjacency.keys())
+            self._productive = sorted(candidates)
+        return self._productive
 
     def moves(self, mask: int) -> Tuple:
         """``(adjacency, next state set, pid, inverse)`` for every step
@@ -467,8 +469,8 @@ class CompiledRPQ:
         """Whether the automaton can loop — i.e. the language contains
         unboundedly long words.  Acyclic plans take the one-pass DAG
         kernel; looping plans take the mask BFS from given sources and
-        the multi-source propagation for all pairs (their per-source
-        reachable sets are large and heavily shared)."""
+        the multi-source BFS for all pairs (their per-source reachable
+        sets are large and heavily shared)."""
         successors = []
         for q in range(self.num_states):
             mask = 0
@@ -555,15 +557,6 @@ class CompiledRPQ:
                     answers.add((source, name))
         return answers
 
-    def _productive_source_ids(self, resolved: _Resolved) -> List[int]:
-        """Node ids with at least one usable first edge — the only nodes
-        whose walks can produce a non-trivial answer."""
-        candidates: Set[int] = set()
-        for q in _iter_bits(self.start_mask):
-            for adjacency, _targets in resolved.rows[q]:
-                candidates.update(adjacency.keys())
-        return sorted(candidates)
-
     def _evaluate_all_pairs(
         self,
         store: TripleStore,
@@ -576,12 +569,12 @@ class CompiledRPQ:
             for name in names:
                 if target_filter is None or name in target_filter:
                     answers.add((name, name))
-        productive = self._productive_source_ids(resolved)
+        productive = resolved.productive(self.start_mask)
         if not productive:
             return answers
         if self.cyclic:
             self._all_pairs_propagate(
-                names, productive, resolved.rows, target_filter, answers
+                names, productive, resolved.entries, target_filter, answers
             )
         else:
             bfs_hits = resolved.bfs_hits
@@ -597,69 +590,60 @@ class CompiledRPQ:
         self,
         names: List[str],
         productive: List[int],
-        rows: _Rows,
+        entries: _Entries,
         target_filter: Opt[Set[str]],
         answers: Set[Tuple[str, str]],
     ) -> None:
-        """Single multi-source frontier propagation over the product
-        graph: every (node, state) vertex carries the bitmask of
-        (productive) source nodes that reach it, so the n per-source BFS
-        runs of the reference collapse into one pass of word-wide
-        integer ORs.  The per-state rows spare every dequeued vertex the
-        label dispatch and the bitmask decoding."""
+        """Level-synchronous multi-source BFS over the product graph,
+        grouped per automaton state (MS-BFS, Then et al., VLDB 2014).
+
+        Productive source ``productive[i]`` owns bit ``i``.  ``reached[q]``
+        maps each node to the mask of sources that reach it in state
+        ``q``, and ``frontier[q]`` to the bits it newly gained there in
+        the last level.  A level runs each state's frontier through each
+        of that state's entries with one adjacency lookup per node, so
+        the n per-source BFS runs of the reference collapse into integer
+        ORs, and each source bit enters each (node, state) vertex once.
+        A state with no entries keeps no frontier: its gains only answer."""
         num_states = self.num_states
-        finals_mask = self.finals_mask
-        start_states = tuple(_iter_bits(self.start_mask))
-        # masks[nid * num_states + q] = bitmask over *compacted* source
-        # indexes (bit i  <->  productive[i]) reaching (nid, q)
-        masks: Dict[int, int] = {}
-        pending: Dict[int, int] = {}
-        queue: deque = deque()
-        for position, sid in enumerate(productive):
-            bit = 1 << position
-            for q in start_states:
-                key = sid * num_states + q
-                masks[key] = masks.get(key, 0) | bit
-                pending[key] = pending.get(key, 0) | bit
-                queue.append(key)
-        masks_get = masks.get
-        pending_pop = pending.pop
-        queue_append = queue.append
-        while queue:
-            key = queue.popleft()
-            delta_sources = pending_pop(key, 0)
-            if not delta_sources:
-                continue
-            nid, q = divmod(key, num_states)
-            for adjacency, targets in rows[q]:
-                neighbours = adjacency.get(nid)
-                if not neighbours:
+        seeds = {sid: 1 << i for i, sid in enumerate(productive)}
+        reached: List[Dict[int, int]] = [{} for _ in range(num_states)]
+        frontier: List[Dict[int, int]] = [{} for _ in range(num_states)]
+        for q in _iter_bits(self.start_mask):
+            reached[q] = dict(seeds)
+            frontier[q] = seeds
+        while any(frontier):
+            advanced: List[Dict[int, int]] = [{} for _ in range(num_states)]
+            for q, level in enumerate(frontier):
+                if not level:
                     continue
-                for other in neighbours:
-                    base = other * num_states
-                    for target in targets:
-                        other_key = base + target
-                        old = masks_get(other_key, 0)
-                        gained = delta_sources & ~old
-                        if gained:
-                            masks[other_key] = old | gained
-                            if other_key in pending:
-                                pending[other_key] |= gained
-                            else:
-                                pending[other_key] = gained
-                                queue_append(other_key)
-        # a seeded start vertex with a final state only occurs when the
+                for adjacency_get, nxt in entries[q]:
+                    seen = reached[nxt]
+                    seen_get = seen.get
+                    out = advanced[nxt] if entries[nxt] else None
+                    out_get = out.get if out is not None else None
+                    for nid, bits in level.items():
+                        neighbours = adjacency_get(nid)
+                        if not neighbours:
+                            continue
+                        for other in neighbours:
+                            old = seen_get(other, 0)
+                            new = old | bits
+                            if new != old:
+                                seen[other] = new
+                                if out is not None:
+                                    out[other] = out_get(other, 0) | (new ^ old)
+            frontier = advanced
+        # a seeded start vertex in a final state only occurs when the
         # language is nullable, and those (u, u) pairs were added above,
         # so reading the raw masks never invents an answer
-        for key, sources_mask in masks.items():
-            nid, q = divmod(key, num_states)
-            if not (finals_mask >> q) & 1:
-                continue
-            name = names[nid]
-            if target_filter is not None and name not in target_filter:
-                continue
-            for position in _iter_bits(sources_mask):
-                answers.add((names[productive[position]], name))
+        sources = [names[sid] for sid in productive]
+        for q in _iter_bits(self.finals_mask):
+            for nid, mask in reached[q].items():
+                name = names[nid]
+                if target_filter is None or name in target_filter:
+                    for position in _iter_bits(mask):
+                        answers.add((sources[position], name))
 
     # -- simple-path / trail search ------------------------------------------------
 

@@ -412,22 +412,21 @@ class RPQOracle(Oracle):
         source, target = case["source"], case["target"]
         semantics = case["semantics"]
         if semantics == "walk":
-            fast = evaluate_rpq(store, expr)
-            ref = evaluate_rpq_reference(store, expr)
-            if fast != ref:
-                return (
-                    f"walk all-pairs divergence: engine-only="
-                    f"{sorted(fast - ref)} reference-only={sorted(ref - fast)}"
-                )
-            fast = evaluate_rpq(store, expr, sources=[source], targets=[target])
-            ref = evaluate_rpq_reference(
-                store, expr, sources=[source], targets=[target]
-            )
-            if fast != ref:
-                return (
-                    f"walk filtered divergence at ({source}, {target}): "
-                    f"engine={sorted(fast)} reference={sorted(ref)}"
-                )
+            # all pairs, all pairs into one target (the server passes
+            # `targets` through without `sources`), one source-target pair
+            for sources, targets in (
+                (None, None),
+                (None, [target]),
+                ([source], [target]),
+            ):
+                fast = evaluate_rpq(store, expr, sources, targets)
+                ref = evaluate_rpq_reference(store, expr, sources, targets)
+                if fast != ref:
+                    return (
+                        f"walk divergence (sources={sources}, "
+                        f"targets={targets}): engine-only="
+                        f"{sorted(fast - ref)} reference-only={sorted(ref - fast)}"
+                    )
             return None
         if semantics == "simple":
             fast = exists_simple_path(store, expr, source, target)

@@ -108,6 +108,41 @@ class TestWalkEquivalence:
         assert info["misses"] == 0 and info["size"] == 0
 
 
+class TestWideAllPairs:
+    """Cyclic all-pairs on a store with more than 64 productive sources,
+    so the propagation's source masks span several machine words."""
+
+    def test_cyclic_plans_match_reference(self):
+        store = labeled_powerlaw_store(random.Random(41), 160)
+        targets = random.Random(42).sample(sorted(store.nodes()), 20)
+        # nullable, inverse atom, a two-atom cycle, a Glushkov-table plan
+        for text in ["(a+b)*", "a(^b)*c", "(ab)*c", NFA_ONLY_EXPRS[0]]:
+            expr = parse(text)
+            plan = compile_rpq(expr)
+            assert plan.cyclic, text
+            resolved = plan._resolve(store)
+            assert len(resolved.productive(plan.start_mask)) > 64, text
+            assert evaluate_rpq(store, expr) == evaluate_rpq_reference(
+                store, expr
+            ), text
+            assert evaluate_rpq(
+                store, expr, targets=targets
+            ) == evaluate_rpq_reference(store, expr, targets=targets), text
+
+    def test_productive_sources_follow_writes(self):
+        store = labeled_powerlaw_store(random.Random(43), 80)
+        expr = parse("a(b+c)*")
+        plan = compile_rpq(expr)
+        resolved = plan._resolve(store)
+        productive = resolved.productive(plan.start_mask)
+        assert plan._resolve(store).productive(plan.start_mask) is productive
+        store.add("fresh", "a", "v0")
+        assert plan._resolve(store) is not resolved
+        after = evaluate_rpq(store, expr)
+        assert after == evaluate_rpq_reference(store, expr)
+        assert ("fresh", "v0") in after
+
+
 class TestNFAOnlyPlans:
     def test_plans_keep_no_dfa(self):
         cyclic, chain, dag = (compile_rpq(parse(t)) for t in NFA_ONLY_EXPRS)
