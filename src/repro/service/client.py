@@ -33,7 +33,6 @@ from typing import Any, Dict, List, Optional as Opt, Sequence, Tuple
 from ..errors import ServiceError
 from .protocol import (
     MAX_FRAME_BYTES,
-    WIRE_VERSION,
     BatteryRequest,
     LogBatteryRequest,
     MutateRequest,
@@ -48,6 +47,7 @@ from .protocol import (
     error_from_response,
     parse_response,
     read_frame,
+    request as wire_request,
 )
 
 
@@ -82,14 +82,9 @@ class RequestAPI:
         full response envelope.  New code should construct typed
         requests and :meth:`send` them (the convenience wrappers below
         already do)."""
-        message: Dict[str, Any] = {
-            "v": WIRE_VERSION,
-            "op": op,
-            "params": params or {},
-        }
-        if deadline_ms is not None:
-            message["deadline_ms"] = deadline_ms
-        return await self.request_message(message)
+        return await self.request_message(
+            wire_request(None, op, params, deadline_ms)
+        )
 
     async def call(
         self,

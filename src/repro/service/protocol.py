@@ -11,11 +11,21 @@ unbounded line.
 Wire version 2 (current) speaks *typed messages*: each operation has a
 frozen request dataclass (:class:`RpqRequest`, :class:`SparqlRequest`,
 :class:`QueryRequest`, :class:`LogBatteryRequest`,
-:class:`BatteryRequest`, :class:`MutateRequest`, :class:`StatsRequest`,
-:class:`PingRequest`) and a matching response type, all carrying
-``to_wire()`` / ``from_wire()``.  On the wire a v2 request is::
+:class:`BatteryRequest`, :class:`ValidateRequest`,
+:class:`MutateRequest`, :class:`StatsRequest`, :class:`PingRequest`) and
+a matching response type, all carrying ``to_wire()`` / ``from_wire()``.
+On the wire a v2 request is::
 
     {"v": 2, "id": str, "op": str, "params": {...}, "deadline_ms"?: num}
+
+The request dataclasses are the only request schema.  v2 decoding is
+strict: :meth:`Request.from_wire` rejects unknown parameters, and checks
+every parameter, and the envelope's ``deadline_ms``, against its field's
+annotation — types and value domains alike (``semantics`` is a
+``Literal``, a triple is a ``Tuple[str, str, str]``, a deadline a
+positive number) — so the server reads attributes off a request that is
+already well-typed.  Any mismatch is a typed
+:class:`~repro.errors.BadRequest`.
 
 and a v2 response is the version-stamped envelope of
 :class:`OkResponse` / :class:`ErrorResponse`::
@@ -47,10 +57,16 @@ client demultiplexes by id).
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
+import reprlib
 import struct
+import sys
 from dataclasses import dataclass, field, fields
-from typing import Any, ClassVar, Dict, List, Optional as Opt, Tuple, Type
+from typing import (
+    Any, Callable, ClassVar, Dict, List, Literal, Optional as Opt, Tuple, Type,
+    Union, get_args, get_origin, get_type_hints,
+)
 
 from ..errors import (
     BadRequest,
@@ -192,6 +208,70 @@ async def read_frame(
 # -- typed messages (wire version 2) ----------------------------------------
 
 
+#: one field's wire check: (accepts value?, the expected shape as text)
+FieldCheck = Tuple[Callable[[Any], bool], str]
+
+#: checks of the plain annotations; ``float`` is the deadline's type,
+#: bounded so that an integer too large for a float is refused here
+_PLAIN_CHECKS: Dict[Any, FieldCheck] = {
+    str: (lambda value: isinstance(value, str), "string"),
+    float: (
+        lambda value: isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and 0 < value <= sys.float_info.max,
+        "positive number",
+    ),
+    list: (lambda value: isinstance(value, list), "list"),
+}
+
+
+def _checker(hint: Any) -> FieldCheck:
+    """The wire check for one request-field annotation: a plain type,
+    ``Opt``, ``Literal`` (of strings), ``List``, ``Dict`` or a
+    fixed-length ``Tuple`` (which also accepts an in-process tuple)."""
+    if hint in _PLAIN_CHECKS:
+        return _PLAIN_CHECKS[hint]
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Literal:
+        shape = " | ".join(f'"{arg}"' for arg in args)
+        return (lambda value: isinstance(value, str) and value in args), shape
+    checks = [_checker(arg) for arg in args if arg is not type(None)]
+    shapes = [shape for _, shape in checks]
+    if origin is Union:  # Opt[...]
+        ((check, shape),) = checks
+        return (lambda value: value is None or check(value)), f"{shape} | null"
+    if origin is list:
+        ((check, shape),) = checks
+        return (
+            lambda value: isinstance(value, list) and all(map(check, value))
+        ), f"[{shape}]"
+    if origin is dict:
+        (key_check, _), (value_check, _) = checks
+        return (
+            lambda value: isinstance(value, dict)
+            and all(key_check(k) and value_check(v) for k, v in value.items())
+        ), "{%s: %s}" % tuple(shapes)
+    if origin is tuple:
+        return (
+            lambda value: isinstance(value, (list, tuple))
+            and len(value) == len(checks)
+            and all(check(item) for (check, _), item in zip(checks, value))
+        ), f"[{', '.join(shapes)}]"
+    raise TypeError(f"no wire check for the annotation {hint!r}")
+
+
+@functools.cache
+def _field_checks(cls: type) -> Dict[str, FieldCheck]:
+    """Every field of a request class but ``id``, with its wire check
+    (built once per class, from its annotations)."""
+    hints = get_type_hints(cls)
+    return {
+        spec.name: _checker(hints[spec.name])
+        for spec in fields(cls)
+        if spec.name != "id"
+    }
+
+
 @dataclass(frozen=True, kw_only=True)
 class Request:
     """Base of the typed request types.
@@ -209,7 +289,7 @@ class Request:
     deadline_ms: Opt[float] = None
 
     def params(self) -> Dict[str, Any]:
-        """The operation parameters as the dispatch-layer dict."""
+        """The operation parameters as the wire ``params`` object."""
         out: Dict[str, Any] = {}
         for spec in fields(self):
             if spec.name in ("id", "deadline_ms"):
@@ -220,43 +300,39 @@ class Request:
         return out
 
     def to_wire(self) -> Dict[str, Any]:
-        message: Dict[str, Any] = {
-            "v": WIRE_VERSION,
-            "id": self.id,
-            "op": self.op,
-            "params": self.params(),
-        }
-        if self.deadline_ms is not None:
-            message["deadline_ms"] = self.deadline_ms
-        return message
+        return request(self.id, self.op, self.params(), self.deadline_ms)
 
     @classmethod
     def from_wire(cls, message: Dict[str, Any]) -> "Request":
-        """The typed request a v2 wire message encodes.  Unknown
-        parameters are rejected — the typed encoding is strict where
-        the legacy one silently ignored extras."""
+        """The typed request a v2 wire message encodes.  Strict: an
+        unknown parameter, or a value that does not match its field's
+        annotation (the envelope's ``deadline_ms`` included), is a
+        :class:`~repro.errors.BadRequest`."""
         params = message.get("params") or {}
         if not isinstance(params, dict):
             raise BadRequest("'params' must be an object")
-        known = {
-            spec.name for spec in fields(cls)
-        } - {"id", "deadline_ms"}
-        unknown = sorted(set(params) - known)
+        checks = _field_checks(cls)
+        unknown = sorted(
+            str(name)
+            for name in params
+            if name not in checks or name == "deadline_ms"
+        )
         if unknown:
             raise BadRequest(
                 f"unknown parameter(s) for {cls.op!r}: {', '.join(unknown)}"
             )
+        values = dict(params, deadline_ms=message.get("deadline_ms"))
+        for name, value in values.items():
+            check, shape = checks[name]
+            if not check(value):
+                raise BadRequest(
+                    f"{name!r} of {cls.op!r} must be of type {shape}, "
+                    f"got {reprlib.repr(value)}"
+                )
         request_id = message.get("id")
         if request_id is not None and not isinstance(request_id, str):
             request_id = str(request_id)
-        try:
-            return cls(
-                id=request_id,
-                deadline_ms=message.get("deadline_ms"),
-                **params,
-            )
-        except TypeError as exc:
-            raise BadRequest(f"bad parameters for {cls.op!r}: {exc}")
+        return cls(id=request_id, **values)
 
     @staticmethod
     def parse(message: Dict[str, Any]) -> "Request":
@@ -285,7 +361,7 @@ class RpqRequest(Request):
     op: ClassVar[str] = "rpq"
     store: str = ""
     expr: str = ""
-    semantics: str = "walk"
+    semantics: Literal["walk", "simple", "trail"] = "walk"
     source: Opt[str] = None
     target: Opt[str] = None
     sources: Opt[List[str]] = None
@@ -348,20 +424,22 @@ class ValidateRequest(Request):
     on embedded and sharded deployments."""
 
     op: ClassVar[str] = "validate"
-    schema_kind: str = "dtd"
+    schema_kind: Literal["dtd", "edtd", "bonxai"] = "dtd"
     rules: Dict[str, str] = field(default_factory=dict)
     start: Opt[List[str]] = None
     mu: Opt[Dict[str, str]] = None
     document: Opt[str] = None
-    format: str = "xml"
-    events: Opt[List[List[str]]] = None
+    format: Literal["xml", "json"] = "xml"
+    #: checked as a list only: a malformed event is a ``valid: false``
+    #: verdict, like an unparseable document
+    events: Opt[list] = None
 
 
 @dataclass(frozen=True, kw_only=True)
 class MutateRequest(Request):
     op: ClassVar[str] = "mutate"
     store: str = ""
-    triples: List[List[str]] = field(default_factory=list)
+    triples: List[Tuple[str, str, str]] = field(default_factory=list)
 
 
 #: operation name -> typed request class (v2 parse dispatch)
@@ -587,15 +665,15 @@ def parse_response(op: str, message: Dict[str, Any]):
 
 
 def request(
-    request_id: str,
+    request_id: Opt[str],
     op: str,
     params: Opt[Dict[str, Any]] = None,
     deadline_ms: Opt[float] = None,
 ) -> Dict[str, Any]:
-    """A v2 request envelope from loose parts (the typed dataclasses'
-    ``to_wire()`` is the first-class constructor; this is the escape
-    hatch for ops without a dataclass yet, and it stamps the version
-    so it never produces a rejected v1 frame)."""
+    """A v2 request envelope from its parts — the one envelope builder:
+    :meth:`Request.to_wire` and the loose-dict
+    :meth:`~repro.service.client.RequestAPI.request` both call it, so
+    every request carries the version stamp."""
     message: Dict[str, Any] = {
         "v": WIRE_VERSION,
         "id": request_id,
@@ -632,8 +710,4 @@ def error_from_response(response: Dict[str, Any]) -> ServiceError:
     """The typed exception a failure response encodes (used by the
     client to re-raise server-side failures under their original
     types)."""
-    error = response.get("error") or {}
-    code = error.get("code", ServiceError.code)
-    exc_type = ERROR_TYPES.get(code, ServiceError)
-    exc = exc_type(error.get("message", "service error"))
-    return exc
+    return ErrorResponse.from_wire(response).to_exception()

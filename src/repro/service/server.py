@@ -57,6 +57,14 @@ whose deprecation window has closed — is rejected with a typed
 ``metrics.legacy_requests``.  Every response is stamped with the wire
 version.
 
+The request dataclasses are the only request schema:
+:meth:`Request.parse <repro.service.protocol.Request.parse>` checks
+every parameter's type and value domain, and the op's
+``_prepare_<op>`` (or ``_mutate``) reads attributes off the parsed
+request.  The server checks only what spans fields: exactly one of
+``document``/``events`` for ``validate``, and ``source``/``target`` for
+simple and trail ``rpq``.
+
 Sharded deployments
 -------------------
 
@@ -170,8 +178,15 @@ from .metrics import ServiceMetrics
 from .protocol import (
     MAX_FRAME_BYTES,
     WIRE_VERSION,
+    BatteryRequest,
     EncodedResult,
+    LogBatteryRequest,
+    MutateRequest,
+    QueryRequest,
     Request,
+    RpqRequest,
+    SparqlRequest,
+    ValidateRequest,
     encode_frame,
     encode_result,
     error_response,
@@ -231,8 +246,6 @@ VALIDATE_RESULT_VERSION = "validate-1"
 #: compiled NFTA cache bound (schemas are tiny next to results, but the
 #: compile is the expensive step worth reusing across documents)
 VALIDATE_AUTOMATA_CACHE = 64
-
-_SEMANTICS = ("walk", "simple", "trail")
 
 
 @dataclass
@@ -353,9 +366,11 @@ class ServiceCore:
 
         Only the typed v2 encoding is accepted (strictly parsed through
         :class:`~repro.service.protocol.Request` — unknown parameters
-        are rejected); a version-less v1 request is rejected with an
-        upgrade hint and counted in ``metrics.legacy_requests``.  Every
-        response carries the wire version stamp."""
+        and ill-typed values are rejected, and a request that does not
+        parse is counted under the op ``?``); a version-less v1 request
+        is rejected with an upgrade hint and counted in
+        ``metrics.legacy_requests``.  Every response carries the wire
+        version stamp."""
         started = time.monotonic()
         request_id = message.get("id")
         if request_id is not None and not isinstance(request_id, str):
@@ -388,32 +403,22 @@ class ServiceCore:
                     f"(this server speaks {WIRE_VERSION})",
                 )
             )
-        op = message.get("op")
-        if not isinstance(op, str) or not op:
-            self.metrics.record("?", started, "error", BadRequest.code)
-            return finish(
-                error_response(
-                    request_id, BadRequest.code, "request has no 'op' string"
-                )
-            )
+        op = "?"  # until the request parses
         try:
-            params = Request.parse(message).params()
-            deadline = self._deadline_of(message)
-            if op == "ping":
-                response = ok_response(request_id, {"pong": True})
-            elif op == "stats":
-                response = ok_response(request_id, self._stats_payload())
+            request = Request.parse(message)
+            op = request.op
+            deadline = self._deadline_of(request)
+            if op in COMPUTE_OPS:
+                result, served_from = await self._compute(request, deadline)
+                response = ok_response(request_id, result, served_from)
             elif op == "mutate":
                 response = ok_response(
-                    request_id, await self._mutate(params, deadline)
+                    request_id, await self._mutate(request, deadline)
                 )
-            elif op in COMPUTE_OPS:
-                result, served_from = await self._compute(
-                    op, params, deadline
-                )
-                response = ok_response(request_id, result, served_from)
+            elif op == "stats":
+                response = ok_response(request_id, self._stats_payload())
             else:
-                raise BadRequest(f"unknown operation {op!r}")
+                response = ok_response(request_id, {"pong": True})
         except ServiceOverloaded as exc:
             self.metrics.record(op, started, "shed", exc.code)
             return finish(error_response(request_id, exc.code, str(exc)))
@@ -435,37 +440,24 @@ class ServiceCore:
         self.metrics.record(op, started, "ok")
         return finish(response)
 
-    def _deadline_of(self, message: Dict[str, Any]) -> Opt[float]:
-        deadline_ms = message.get(
-            "deadline_ms", self.config.default_deadline_ms
-        )
+    def _deadline_of(self, request: Request) -> Opt[float]:
+        deadline_ms = request.deadline_ms or self.config.default_deadline_ms
         if deadline_ms is None:
             return None
-        if not isinstance(deadline_ms, (int, float)) or deadline_ms <= 0:
-            raise BadRequest("'deadline_ms' must be a positive number")
         return asyncio.get_running_loop().time() + deadline_ms / 1000.0
 
     # -- compute operations -----------------------------------------------------
 
     async def _compute(
-        self, op: str, params: Dict[str, Any], deadline: Opt[float]
+        self, request: Request, deadline: Opt[float]
     ) -> Tuple[EncodedResult, str]:
         """Cache lookup -> single-flight scheduled execution -> cache
-        fill.  Returns ``(encoded result payload, served_from)``."""
-        endpoint = self.metrics.endpoint(op)
-        scope = None  # store-free answers: no write can change them
-        if op == "rpq":
-            key, fn, scope = self._prepare_rpq(params)
-        elif op == "sparql":
-            key, fn = self._prepare_sparql(params)
-        elif op == "query":
-            key, fn, scope = self._prepare_query(params)
-        elif op == "battery":
-            key, fn = self._prepare_battery(params)
-        elif op == "validate":
-            key, fn = self._prepare_validate(params)
-        else:
-            key, fn = self._prepare_log(params)
+        fill.  Returns ``(encoded result payload, served_from)``.  The
+        op's ``_prepare_<op>`` returns ``(key, fn, scope)``; ``scope``
+        is ``None`` for answers that read no store, which no write can
+        change."""
+        endpoint = self.metrics.endpoint(request.op)
+        key, fn, scope = getattr(self, f"_prepare_{request.op}")(request)
         hit, payload = self.cache.get(key)
         if hit:
             endpoint.cache_hits += 1
@@ -491,48 +483,29 @@ class ServiceCore:
             endpoint.coalesced += 1
         return payload, "engine"
 
-    def _store_of(self, params: Dict[str, Any]) -> Tuple[str, TripleStore]:
-        name = params.get("store")
-        if not isinstance(name, str):
-            raise BadRequest("'store' must name a registered store")
+    def _store_of(self, name: str) -> Union[TripleStore, ShardGroup]:
         store = self.stores.get(name)
         if store is None:
             raise BadRequest(
                 f"unknown store {name!r} "
                 f"(registered: {sorted(self.stores) or 'none'})"
             )
-        return name, store
+        return store
 
-    @staticmethod
-    def _string_list(params: Dict[str, Any], field: str) -> Opt[List[str]]:
-        value = params.get(field)
-        if value is None:
-            return None
-        if not isinstance(value, list) or not all(
-            isinstance(item, str) for item in value
-        ):
-            raise BadRequest(f"'{field}' must be a list of strings")
-        return value
-
-    def _prepare_rpq(self, params: Dict[str, Any]):
-        """Returns ``(key, fn, scope)``: the answer reads only the
-        expression's predicates (``^p`` reads ``p``), so it is keyed by
-        their sub-store fingerprint and survives writes to others —
-        except a nullable walk without ``sources``, whose diagonal
-        covers every node of the store."""
-        name, store = self._store_of(params)
-        expr_text = params.get("expr")
-        if not isinstance(expr_text, str):
-            raise BadRequest("'expr' must be an RPQ expression string")
+    def _prepare_rpq(self, request: RpqRequest):
+        """The answer reads only the expression's predicates (``^p``
+        reads ``p``), so it is keyed by their sub-store fingerprint and
+        scoped to them, surviving writes to others — except a nullable
+        walk without ``sources``, whose diagonal covers every node of
+        the store."""
+        name, expr_text, semantics = (
+            request.store, request.expr, request.semantics
+        )
+        store = self._store_of(name)
         try:
             expr = parse_regex(expr_text, multi_char=True)
         except RegexParseError as exc:
             raise BadRequest(f"unparseable expression: {exc}")
-        semantics = params.get("semantics", "walk")
-        if semantics not in _SEMANTICS:
-            raise BadRequest(
-                f"'semantics' must be one of {', '.join(_SEMANTICS)}"
-            )
         sharded = isinstance(store, ShardGroup)
         gate = self._gates[name]
         predicates = predicates_read(expr.alphabet())
@@ -540,8 +513,7 @@ class ServiceCore:
         # is ambiguous under academic union-'+' notation — plus every
         # parameter the answer depends on
         if semantics == "walk":
-            sources = self._string_list(params, "sources")
-            targets = self._string_list(params, "targets")
+            sources, targets = request.sources, request.targets
             canonical = json.dumps(
                 [
                     repr(ast_key(expr)),
@@ -567,8 +539,8 @@ class ServiceCore:
                 }
 
         else:
-            source, target = params.get("source"), params.get("target")
-            if not isinstance(source, str) or not isinstance(target, str):
+            source, target = request.source, request.target
+            if source is None or target is None:
                 raise BadRequest(
                     f"{semantics} semantics needs 'source' and 'target' "
                     f"strings"
@@ -599,15 +571,8 @@ class ServiceCore:
         )
         return key, fn, (name, predicates)
 
-    @staticmethod
-    def _query_text(params: Dict[str, Any]) -> str:
-        text = params.get("query")
-        if not isinstance(text, str):
-            raise BadRequest("'query' must be a SPARQL string")
-        return text
-
-    def _prepare_sparql(self, params: Dict[str, Any]):
-        text = self._query_text(params)
+    def _prepare_sparql(self, request: SparqlRequest):
+        text = request.query
         key = result_key(
             "sparql", SPARQL_RESULT_VERSION, normalize_text(text), "sparql"
         )
@@ -626,7 +591,7 @@ class ServiceCore:
                 "operators": sorted(operator_set(query)),
             }
 
-        return key, fn
+        return key, fn, None
 
     def _schema_automaton(self, kind: str, rules, start, mu, fingerprint: str):
         """Compile (or fetch from the LRU) the NFTA for a wire schema.
@@ -658,7 +623,7 @@ class ServiceCore:
             self._automata.popitem(last=False)
         return automaton
 
-    def _prepare_validate(self, params: Dict[str, Any]):
+    def _prepare_validate(self, request: ValidateRequest):
         """Streaming tree-schema validation.  Store-less (works the same
         on embedded and sharded deployments); cached by
         (schema fingerprint, document digest)."""
@@ -666,38 +631,13 @@ class ServiceCore:
         from ..trees.automata import StreamingTreeValidator
         from ..trees.streaming import events_of
 
-        kind = params.get("schema_kind", "dtd")
-        if kind not in ("dtd", "edtd", "bonxai"):
-            raise BadRequest(f"unknown schema kind {kind!r}")
-        rules = params.get("rules")
-        if not isinstance(rules, dict) or not all(
-            isinstance(k, str) and isinstance(v, str) for k, v in rules.items()
-        ):
-            raise BadRequest("'rules' must map labels to content-model strings")
-        start = params.get("start")
-        if start is not None and not (
-            isinstance(start, list) and all(isinstance(s, str) for s in start)
-        ):
-            raise BadRequest("'start' must be a list of labels")
-        mu = params.get("mu")
-        if mu is not None and not (
-            isinstance(mu, dict)
-            and all(
-                isinstance(k, str) and isinstance(v, str) for k, v in mu.items()
-            )
-        ):
-            raise BadRequest("'mu' must map types to labels")
-        document = params.get("document")
-        events = params.get("events")
-        fmt = params.get("format", "xml")
-        if fmt not in ("xml", "json"):
-            raise BadRequest(f"unknown document format {fmt!r}")
+        kind, rules, start, mu = (
+            request.schema_kind, request.rules, request.start, request.mu
+        )
+        document, events = request.document, request.events
+        fmt = request.format
         if (document is None) == (events is None):
             raise BadRequest("exactly one of 'document' and 'events' is required")
-        if document is not None and not isinstance(document, str):
-            raise BadRequest("'document' must be a string")
-        if events is not None and not isinstance(events, list):
-            raise BadRequest("'events' must be a list of [kind, payload] pairs")
 
         schema_fingerprint = text_key(
             json.dumps(
@@ -749,9 +689,9 @@ class ServiceCore:
                 )
             return payload
 
-        return key, fn
+        return key, fn, None
 
-    def _prepare_query(self, params: Dict[str, Any]):
+    def _prepare_query(self, request: QueryRequest):
         """Full SPARQL evaluation against a registered store.  Sharded
         stores evaluate on the group's coordinator-side union, loaded
         with the predicates :func:`~repro.sparql.evaluation.query_predicates`
@@ -761,8 +701,8 @@ class ServiceCore:
         the payload is deterministic and cache keys are deployment-
         independent.  A query may read any predicate, so it is keyed by
         (and scoped to) the whole store."""
-        name, store = self._store_of(params)
-        text = self._query_text(params)
+        name, text = request.store, request.query
+        store = self._store_of(name)
         sharded = isinstance(store, ShardGroup)
         gate = self._gates[name]
         key = result_key(
@@ -825,8 +765,8 @@ class ServiceCore:
 
         return key, fn, (name, None)
 
-    def _prepare_log(self, params: Dict[str, Any]):
-        text = self._query_text(params)
+    def _prepare_log(self, request: LogBatteryRequest):
+        text = request.query
         # the battery fingerprint versions the record exactly as the
         # persistent log cache does: a battery change invalidates here too
         key = result_key(
@@ -843,21 +783,13 @@ class ServiceCore:
                 "record": encode_analysis(analyze_query_fused(query)),
             }
 
-        return key, fn
+        return key, fn, None
 
-    def _prepare_battery(self, params: Dict[str, Any]):
-        queries = params.get("queries")
-        if not isinstance(queries, list) or not all(
-            isinstance(text, str) for text in queries
-        ):
-            raise BadRequest("'queries' must be a list of SPARQL strings")
-        source = params.get("source", "service")
-        if not isinstance(source, str):
-            raise BadRequest("'source' must be a string")
+    def _prepare_battery(self, request: BatteryRequest):
+        queries, source = request.queries, request.source
         group: Opt[ShardGroup] = None
-        store_name = params.get("store")
-        if store_name is not None:
-            _, store = self._store_of(params)
+        if request.store is not None:
+            store = self._store_of(request.store)
             if isinstance(store, ShardGroup):
                 group = store
             # an unsharded store has no worker processes to scatter to:
@@ -876,38 +808,25 @@ class ServiceCore:
                 report = run_study(source, queries)
             return {"report": encode_report(report)}
 
-        return key, fn
+        return key, fn, None
 
     # -- mutation ---------------------------------------------------------------
 
     async def _mutate(
-        self, params: Dict[str, Any], deadline: Opt[float]
+        self, request: MutateRequest, deadline: Opt[float]
     ) -> Dict[str, Any]:
-        name, store = self._store_of(params)
+        name, triples = request.store, request.triples
+        store = self._store_of(name)
         if isinstance(store, ShardGroup):
             raise StoreFrozenError(
                 f"store {name!r} is a sharded deployment of frozen "
                 f"images; re-shard to mutate"
             )
-        triples = params.get("triples")
-        if not isinstance(triples, list):
-            raise BadRequest("'triples' must be a list of [s, p, o]")
-        cleaned: List[Tuple[str, str, str]] = []
-        for item in triples:
-            if (
-                not isinstance(item, (list, tuple))
-                or len(item) != 3
-                or not all(isinstance(part, str) for part in item)
-            ):
-                raise BadRequest(
-                    f"not an [s, p, o] string triple: {item!r}"
-                )
-            cleaned.append((item[0], item[1], item[2]))
         gate = self._gates[name]
 
         def fn() -> Tuple[Dict[str, Any], List[str]]:
             def apply() -> List[str]:
-                return [p for s, p, o in cleaned if store.add(s, p, o)]
+                return [p for s, p, o in triples if store.add(s, p, o)]
 
             added = gate.write(apply)
             return {

@@ -28,6 +28,7 @@ from repro.logs.analyzer import encode_report
 from repro.logs.pipeline import run_study
 from repro.regex.parser import parse as parse_regex
 from repro.service import EmbeddedService, ServiceConfig
+from repro.service.protocol import RpqRequest
 from repro.service.shard import (
     MANIFEST_NAME,
     ShardGroup,
@@ -576,8 +577,8 @@ def test_sharded_and_in_memory_derive_equal_scoped_keys(tmp_path):
             {"g": tmp_path / "g"}
         ) as sharded, EmbeddedService({"g": store}) as single:
             for params in requests:
-                a = sharded.core._prepare_rpq(params)
-                b = single.core._prepare_rpq(params)
+                a = sharded.core._prepare_rpq(RpqRequest(**params))
+                b = single.core._prepare_rpq(RpqRequest(**params))
                 assert a[0] == b[0]  # the key
                 assert a[2] == b[2]  # the scope
 

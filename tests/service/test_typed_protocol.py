@@ -263,6 +263,112 @@ def test_typed_wrappers_raise_typed_errors():
     run(scenario())
 
 
+# -- ill-typed parameters ------------------------------------------------------
+
+#: op -> well-typed params (each must answer)
+WELL_TYPED = {
+    "ping": {},
+    "stats": {},
+    "rpq": {"store": "g", "expr": "p", "sources": ["a"], "targets": ["b"]},
+    "sparql": {"query": "ASK { ?s ?p ?o }"},
+    "query": {"store": "g", "query": "ASK { ?s <p> ?o }"},
+    "log": {"query": "ASK { ?s ?p ?o }"},
+    "battery": {"queries": ["ASK { ?s ?p ?o }"], "source": "t", "store": "g"},
+    "validate": {
+        "schema_kind": "edtd",
+        "rules": {"t": "(u)*", "u": ""},
+        "start": ["t"],
+        "mu": {"t": "$", "u": "x"},
+        "document": '{"x": 1}',
+        "format": "json",
+    },
+    "mutate": {"store": "g", "triples": [["x", "p", "y"]]},
+}
+
+TRAIL = {
+    "store": "g", "expr": "p", "semantics": "trail", "source": "a", "target": "c"
+}
+EVENTS = {
+    "rules": {"r": ""}, "start": ["r"], "events": [["start", "r"], ["end", "r"]]
+}
+
+#: (op, well-typed params, field, one wrong-typed value for it)
+ILL_TYPED = [
+    ("rpq", WELL_TYPED["rpq"], "store", 5),
+    ("rpq", WELL_TYPED["rpq"], "expr", ["p"]),
+    ("rpq", WELL_TYPED["rpq"], "semantics", "zigzag"),
+    ("rpq", WELL_TYPED["rpq"], "semantics", True),
+    # a walk ignores 'source', but an ill-typed one is still refused
+    ("rpq", WELL_TYPED["rpq"], "source", 5),
+    ("rpq", WELL_TYPED["rpq"], "target", 5),
+    ("rpq", WELL_TYPED["rpq"], "sources", "a"),
+    ("rpq", WELL_TYPED["rpq"], "targets", [None]),
+    ("rpq", TRAIL, "source", ["a"]),
+    ("rpq", TRAIL, "target", 3),
+    ("sparql", WELL_TYPED["sparql"], "query", 7),
+    ("query", WELL_TYPED["query"], "store", None),
+    ("query", WELL_TYPED["query"], "query", {"text": "ASK {}"}),
+    ("log", WELL_TYPED["log"], "query", 1.5),
+    ("battery", WELL_TYPED["battery"], "queries", "ASK { ?s ?p ?o }"),
+    ("battery", WELL_TYPED["battery"], "queries", [1]),
+    ("battery", WELL_TYPED["battery"], "source", 3),
+    ("battery", WELL_TYPED["battery"], "store", 4),
+    ("validate", WELL_TYPED["validate"], "schema_kind", "relaxng"),
+    ("validate", WELL_TYPED["validate"], "rules", ["t"]),
+    ("validate", WELL_TYPED["validate"], "rules", {"t": 1}),
+    ("validate", WELL_TYPED["validate"], "start", "t"),
+    ("validate", WELL_TYPED["validate"], "mu", {"t": 2}),
+    ("validate", WELL_TYPED["validate"], "document", 5),
+    ("validate", WELL_TYPED["validate"], "format", "yaml"),
+    ("validate", EVENTS, "events", "start r"),
+    ("mutate", WELL_TYPED["mutate"], "store", 1),
+    ("mutate", WELL_TYPED["mutate"], "triples", "x p y"),
+    ("mutate", WELL_TYPED["mutate"], "triples", [["x", "p"]]),
+    ("mutate", WELL_TYPED["mutate"], "triples", [["x", "p", 3]]),
+] + [
+    # the envelope's deadline: a bool is not a number, and it is positive
+    (op, WELL_TYPED[op], "deadline_ms", value)
+    for op, value in (
+        ("ping", True),
+        ("rpq", False),
+        ("sparql", "10"),
+        ("stats", -1),
+        ("log", 0),
+        ("mutate", float("nan")),
+        ("query", 10**400),
+    )
+]
+
+
+def test_ill_typed_parameters_are_bad_requests_embedded_and_over_tcp():
+    async def check(service):
+        well_typed = [*WELL_TYPED.items(), ("rpq", TRAIL), ("validate", EVENTS)]
+        for op, params in well_typed:
+            response = await service.request(op, params, deadline_ms=60_000)
+            assert response["ok"], (op, params, response)
+        for op, params, name, value in ILL_TYPED:
+            if name == "deadline_ms":
+                response = await service.request(op, params, deadline_ms=value)
+            else:
+                response = await service.request(op, {**params, name: value})
+            case = (op, name, value)
+            assert not response["ok"], case
+            assert response["error"]["code"] == "bad_request", case
+            assert repr(name) in response["error"]["message"]
+
+    async def scenario():
+        async with EmbeddedService({"g": small_store()}) as service:
+            await check(service)
+        async with ReproServer({"g": small_store()}) as server:
+            client = await open_service(server.address)
+            try:
+                await check(client)
+            finally:
+                await client.close()
+
+    run(scenario())
+
+
 # -- open_service factory -----------------------------------------------------
 
 
