@@ -8,12 +8,13 @@ Public surface:
 * Treewidth: :func:`treewidth_interval`, upper/lower bound heuristics,
   :class:`TreeDecomposition`, :func:`is_valid_decomposition`
 * Power laws: :func:`fit_power_law`, :func:`ccdf`, :func:`looks_heavy_tailed`
-* Path queries: :func:`evaluate_rpq`, :func:`exists_simple_path`,
-  :func:`exists_trail` (on the compiled engine's kernels: a chain fold,
-  a one-pass DAG kernel for acyclic plans, a grouped mask BFS and, for
-  all pairs, a level-synchronous multi-source BFS grouped per automaton
-  state for cyclic ones, and one simple-path/trail DFS that hands
-  downward-closed chains to a walk)
+* Path queries: :func:`evaluate_rpq`, :func:`evaluate_rpq_json` (the
+  same answer as sorted compact JSON text), :func:`exists_simple_path`,
+  :func:`exists_trail` (on the compiled engine's kernels: a chain fold;
+  for other plans from given sources a one-pass DAG kernel (acyclic) or
+  a grouped mask BFS (cyclic), and for all pairs a level-synchronous
+  multi-source BFS grouped per automaton state; and one
+  simple-path/trail DFS that hands downward-closed chains to a walk)
 * Compiled plans: :class:`CompiledRPQ`, :func:`compile_rpq`,
   :func:`configure_plan_cache`, :func:`plan_cache_info`,
   :func:`clear_plan_cache`
@@ -32,7 +33,7 @@ __getattr__, __dir__, __all__ = lazy_surface(__name__, {
     ),
     "parallel": (),
     "paths": (
-        "evaluate_rpq", "exists_simple_path", "exists_trail",
+        "evaluate_rpq", "evaluate_rpq_json", "exists_simple_path", "exists_trail",
     ),
     "powerlaw": (
         "PowerLawFit", "ccdf", "degree_histogram", "fit_power_law",

@@ -26,14 +26,23 @@ the store's integer-interned indexes:
   evaluation additionally restricts sources to nodes with a productive
   first edge, computed once per resolution.
 * **Kernels by language shape** — a chain (``a.b.c``) folds the
-  frontier through one adjacency map per hop; any other acyclic plan
-  takes one pass over its states in topological order; a cyclic plan
-  runs a mask BFS grouped per gained state set for given ``sources``
-  and, for all pairs, one level-synchronous multi-source BFS grouped
-  per automaton state (MS-BFS) that carries a *source bitmask* per
-  (node, state) vertex.  Simple paths and trails share one DFS, except
-  downward-closed chains (the core of the tractable class C_tract),
-  which one sourced walk decides exactly.
+  frontier through one adjacency map per hop, for given ``sources``
+  and all pairs alike.  Any other plan answers all pairs with a
+  level-synchronous multi-source BFS grouped per automaton state
+  (MS-BFS) that carries a *source bitmask* per (node, state) vertex,
+  one per batch of 256 productive sources, so a mask stays a few
+  machine words wide.  For given ``sources`` an acyclic one takes one
+  pass over its states in topological order and a cyclic one a mask
+  BFS grouped per gained state set.  Simple paths and trails share one
+  DFS, except downward-closed chains (the core of the tractable class
+  C_tract), which one sourced walk decides exactly.
+* **One readout, two views** — a walk's answer is read out as (source
+  id, target id) pairs, none twice.  :meth:`CompiledRPQ.evaluate` maps
+  them to a set of name pairs; :meth:`CompiledRPQ.evaluate_json` keys
+  each pair ``rank[u] * n + rank[v]`` by the ranks of the names in the
+  store's name order, so one integer sort puts the pairs in ``sorted``
+  order, and joins each name's JSON text (encoded once per store) into
+  the compact JSON of the sorted pair list.
 
 All entry points return exactly the same answers as the reference
 procedures in :mod:`repro.graphs.paths` (enforced by the randomized
@@ -44,8 +53,21 @@ from __future__ import annotations
 
 import threading
 import weakref
+from bisect import bisect_left
 from collections import OrderedDict, deque
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional as Opt, Set, Tuple
+from itertools import repeat
+from json.encoder import encode_basestring
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional as Opt,
+    Set,
+    Tuple,
+)
 
 from ..regex.ast import (
     Concat,
@@ -68,6 +90,10 @@ _DFA_STATE_LIMIT = 24
 _DFA_BLOWUP_LIMIT = 512
 #: Bound on the per-resolution state set -> usable steps table.
 _MOVES_LIMIT = 8192
+#: Sources per multi-source BFS batch: a source mask stays a few
+#: machine words wide, where Python's integer ORs are cheap (MS-BFS
+#: runs register-width batches too).
+_BATCH_SOURCES = 256
 
 
 def predicates_read(labels: Iterable[str]) -> FrozenSet[str]:
@@ -179,7 +205,8 @@ def _make_chain_bfs(gets: List[Callable[[int], Opt[List[int]]]]):
     """The walk kernel for a linear-chain plan (``a.b.c``): fold the
     frontier through one adjacency map per hop — no state table, no
     visited bookkeeping (each hop dedupes into a fresh set), answers
-    come straight out of the last fold."""
+    come straight out of the last fold.  All-pairs walks run it once
+    per productive source: on chains it beats the propagation."""
     first_get = gets[0]
     rest_gets = tuple(gets[1:])
 
@@ -204,8 +231,25 @@ def _make_chain_bfs(gets: List[Callable[[int], Opt[List[int]]]]):
     return bfs_hits
 
 
-def _make_dag_bfs(entries: _Entries, start_mask: int, finals_mask: int):
-    """The walk kernel for an *acyclic* plan.
+def _acyclic_order(entries: _Entries, start_mask: int, finals_mask: int):
+    """For an acyclic plan: its states with usable entries in
+    topological order, its start states, and its final states other
+    than the start states."""
+    topo = _topological_order([[nxt for _get, nxt in row] for row in entries])
+    plan_order = tuple(
+        (state, entries[state]) for state in topo if entries[state]
+    )
+    finals = tuple(
+        state
+        for state in topo
+        if (finals_mask >> state) & 1 and not (start_mask >> state) & 1
+    )
+    return plan_order, tuple(_iter_bits(start_mask)), finals
+
+
+def _make_dag_bfs(num_states: int, plan_order: Tuple, starts: Tuple, finals: Tuple):
+    """The walk kernel for an *acyclic* plan that is not a chain, from
+    given sources (all-pairs walks propagate instead).
 
     With no cycles in the state graph, the per-level BFS collapses into
     one pass over the states in topological order, carrying the set of
@@ -216,21 +260,7 @@ def _make_dag_bfs(entries: _Entries, start_mask: int, finals_mask: int):
     relation of a per-level product BFS, so the hit set is identical.
     The start state has no incoming transition (in the Glushkov
     automaton and in its subset construction alike), so its seed never
-    leaks into the answer.  Linear chains fold instead."""
-    num_states = len(entries)
-    topo = _topological_order([[nxt for _get, nxt in row] for row in entries])
-    plan_order = tuple(
-        (state, entries[state]) for state in topo if entries[state]
-    )
-    finals = tuple(
-        state
-        for state in topo
-        if (finals_mask >> state) & 1 and not (start_mask >> state) & 1
-    )
-    starts = tuple(_iter_bits(start_mask))
-    chain = _chain_of(plan_order, starts[0], finals)
-    if chain is not None:
-        return _make_chain_bfs(chain)
+    leaks into the answer."""
 
     def bfs_hits(sid: int) -> Set[int]:
         sets: List[Opt[Set[int]]] = [None] * num_states
@@ -264,10 +294,10 @@ def _make_dag_bfs(entries: _Entries, start_mask: int, finals_mask: int):
 
 
 def _make_mask_bfs(moves, start_mask: int, finals_mask: int):
-    """The walk kernel for a cyclic plan from given sources: the
-    frontier is grouped per gained state set, so the usable steps out
-    of a state set are looked up once per group instead of once per
-    frontier item."""
+    """The walk kernel for a cyclic plan from given sources (all-pairs
+    walks propagate instead): the frontier is grouped per gained state
+    set, so the usable steps out of a state set are looked up once per
+    group instead of once per frontier item."""
 
     def bfs_hits(sid: int) -> Set[int]:
         reached: Dict[int, int] = {sid: start_mask}
@@ -305,10 +335,14 @@ def _make_mask_bfs(moves, start_mask: int, finals_mask: int):
 class _Resolved:
     """A plan resolved against one (store, mutation version): the usable
     steps, the per-state entries, the usable steps out of each state set
-    met so far, the walk kernel for the plan's shape and, once an
-    all-pairs query asks, the productive sources."""
+    met so far, the walk kernel for the plan's shape (``chain`` says
+    whether it is the chain fold) and, once an all-pairs query asks,
+    the productive sources.  Every kernel returns a set of its own,
+    which the caller may change."""
 
-    __slots__ = ("steps", "entries", "bfs_hits", "by_mask", "_productive")
+    __slots__ = (
+        "steps", "entries", "bfs_hits", "chain", "by_mask", "_productive"
+    )
 
     def __init__(self, plan: "CompiledRPQ", steps: List[_Step]):
         self.steps = steps
@@ -322,13 +356,22 @@ class _Resolved:
         )
         self.by_mask: Dict[int, Tuple] = {}
         self._productive: Opt[List[int]] = None
+        self.chain = False
         if plan.cyclic:
             self.bfs_hits = _make_mask_bfs(
                 self.moves, plan.start_mask, plan.finals_mask
             )
+            return
+        plan_order, starts, finals = _acyclic_order(
+            self.entries, plan.start_mask, plan.finals_mask
+        )
+        gets = _chain_of(plan_order, starts[0], finals)
+        if gets is not None:
+            self.chain = True
+            self.bfs_hits = _make_chain_bfs(gets)
         else:
             self.bfs_hits = _make_dag_bfs(
-                self.entries, plan.start_mask, plan.finals_mask
+                plan.num_states, plan_order, starts, finals
             )
 
     def productive(self, start_mask: int) -> List[int]:
@@ -357,6 +400,66 @@ class _Resolved:
                 self.by_mask.clear()
             self.by_mask[mask] = entries
         return entries
+
+
+class _NameOrder(NamedTuple):
+    """A store's node names in sorted order: ``order`` lists the node
+    ids by name, ``rank[nid]`` is the position of ``nid`` in it,
+    ``texts[nid]`` is the JSON string literal of its name
+    (``encode_basestring`` is the encoder of ``json.dumps(...,
+    ensure_ascii=False)``) and ``ordered_texts`` holds the literals in
+    name order.  Sorting pairs of names is sorting pairs of ranks.
+
+    Node ids only grow, so a write extends the table instead of
+    rebuilding it: only new names are encoded and placed in the order.
+    A published table is never changed — readers walking under the
+    store's shared gate at once may each extend the table they read
+    and publish theirs; every one of them is valid."""
+
+    order: List[int]
+    rank: List[int]
+    texts: List[str]
+    ordered_texts: List[str]
+
+    def extended(self, names: List[str]) -> "_NameOrder":
+        count = len(names)
+        fresh = range(len(self.texts), count)
+        name_of = names.__getitem__
+        new_texts = [encode_basestring(names[nid]) for nid in fresh]
+        texts = self.texts + new_texts
+        if len(fresh) * 32 > count:
+            # many new names: one sort, merging them into the order
+            order = self.order + sorted(fresh, key=name_of)
+            order.sort(key=name_of)
+            ordered_texts = list(map(texts.__getitem__, order))
+        else:
+            # a few (the common write): insert each in its place
+            order = self.order.copy()
+            ordered_texts = self.ordered_texts.copy()
+            for nid, text in zip(fresh, new_texts):
+                position = bisect_left(order, names[nid], key=name_of)
+                order.insert(position, nid)
+                ordered_texts.insert(position, text)
+        rank = [0] * count
+        for position, nid in enumerate(order):
+            rank[nid] = position
+        return _NameOrder(order, rank, texts, ordered_texts)
+
+
+_name_orders: "weakref.WeakKeyDictionary[TripleStore, _NameOrder]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _name_order(store: TripleStore) -> _NameOrder:
+    """The name-order table covering every node of ``store``, extended
+    and published with one assignment when the store has grown."""
+    names = store.node_names()
+    table = _name_orders.get(store)
+    if table is None or len(table.texts) < len(names):
+        table = (table or _NameOrder([], [], [], [])).extended(names)
+        _name_orders[store] = table
+    return table
 
 
 class CompiledRPQ:
@@ -467,10 +570,9 @@ class CompiledRPQ:
 
     def _has_productive_cycle(self) -> bool:
         """Whether the automaton can loop — i.e. the language contains
-        unboundedly long words.  Acyclic plans take the one-pass DAG
-        kernel; looping plans take the mask BFS from given sources and
-        the multi-source BFS for all pairs (their per-source reachable
-        sets are large and heavily shared)."""
+        unboundedly long words.  From given sources, acyclic plans take
+        the one-pass DAG kernel (or the chain fold) and looping plans
+        the mask BFS."""
         successors = []
         for q in range(self.num_states):
             mask = 0
@@ -524,87 +626,143 @@ class CompiledRPQ:
         """All pairs (u, v) connected by a walk spelling a word of the
         language; identical to the reference product BFS.  ``targets``
         filters the answers, never the exploration."""
-        target_filter = set(targets) if targets is not None else None
+        heads, tails, outside = self._walk(store, sources, targets)
+        name_of = store.node_names().__getitem__
+        answers = set(zip(map(name_of, heads), map(name_of, tails)))
+        answers.update(zip(outside, outside))
+        return answers
+
+    def evaluate_json(
+        self,
+        store: TripleStore,
+        sources: Opt[List[str]] = None,
+        targets: Opt[Iterable[str]] = None,
+    ) -> Tuple[str, int]:
+        """``evaluate``'s answer as the compact JSON text of its sorted
+        pair list — byte for byte ``json.dumps(sorted(pairs),
+        ensure_ascii=False, separators=(",", ":"))`` — and the number
+        of pairs.
+
+        Each pair is keyed by the ranks of its names in the store's name
+        order (:func:`_name_order`), so sorting the pairs sorts
+        integers, and each name's JSON text is made once per store, not
+        once per answer."""
+        heads, tails, outside = self._walk(store, sources, targets)
+        table = _name_order(store)
+        rank = table.rank
+        width = len(rank)
+        keys = [rank[u] * width + rank[v] for u, v in zip(heads, tails)]
+        keys.sort()
+        texts = table.ordered_texts
+        pieces = [
+            "[" + texts[key // width] + "," + texts[key % width] + "]"
+            for key in keys
+        ]
+        if outside:
+            # (x, x) pairs of sources outside the graph, slotted in by
+            # name; inserting the largest first keeps the slots valid
+            names, order = store.node_names(), table.order
+            leads = [names[order[key // width]] for key in keys]
+            for name in sorted(outside, reverse=True):
+                text = encode_basestring(name)
+                pieces.insert(bisect_left(leads, name), f"[{text},{text}]")
+        return "[" + ",".join(pieces) + "]", len(pieces)
+
+    def _walk(
+        self,
+        store: TripleStore,
+        sources: Opt[Iterable[str]],
+        targets: Opt[Iterable[str]],
+    ) -> Tuple[List[int], List[int], List[str]]:
+        """The walk answer at the id level, shared by :meth:`evaluate`
+        and :meth:`evaluate_json`: every answer (u, v) between nodes of
+        the graph once, as ``u = heads[i]`` and ``v = tails[i]``, and
+        the requested sources outside the graph whose empty walk (x, x)
+        answers.
+
+        Sourced walks run the plan's walk kernel once per distinct
+        source.  All-pairs walks of a chain fold once per productive
+        source; every other plan runs :meth:`_all_pairs_propagate` on
+        each batch of ``_BATCH_SOURCES`` productive sources."""
+        heads: List[int] = []
+        tails: List[int] = []
+        outside: List[str] = []
+        target_names = set(targets) if targets is not None else None
+        wanted: Opt[Set[int]] = None
+        if target_names is not None:
+            wanted = set(map(store.node_id, target_names))
+            wanted.discard(None)
         resolved = self._resolve(store)
+        nullable = self.accepts_empty
         if sources is not None:
-            return self._evaluate_sources(
-                store, sources, resolved, target_filter
-            )
-        return self._evaluate_all_pairs(store, resolved, target_filter)
-
-    def _evaluate_sources(
-        self,
-        store: TripleStore,
-        sources: Iterable[str],
-        resolved: _Resolved,
-        target_filter: Opt[Set[str]],
-    ) -> Set[Tuple[str, str]]:
-        """One walk-kernel run per requested source node."""
-        answers: Set[Tuple[str, str]] = set()
-        names = store.node_names()
-        bfs_hits = resolved.bfs_hits
-        for source in sources:
-            if self.accepts_empty and (
-                target_filter is None or source in target_filter
-            ):
-                answers.add((source, source))
-            sid = store.node_id(source)
-            if sid is None:
-                continue  # node outside the graph: no walks at all
-            for nid in bfs_hits(sid):
-                name = names[nid]
-                if target_filter is None or name in target_filter:
-                    answers.add((source, name))
-        return answers
-
-    def _evaluate_all_pairs(
-        self,
-        store: TripleStore,
-        resolved: _Resolved,
-        target_filter: Opt[Set[str]],
-    ) -> Set[Tuple[str, str]]:
-        names = store.node_names()
-        answers: Set[Tuple[str, str]] = set()
-        if self.accepts_empty:
-            for name in names:
-                if target_filter is None or name in target_filter:
-                    answers.add((name, name))
-        productive = resolved.productive(self.start_mask)
-        if not productive:
-            return answers
-        if self.cyclic:
-            self._all_pairs_propagate(
-                names, productive, resolved.entries, target_filter, answers
-            )
+            walked = []
+            for source in dict.fromkeys(sources):
+                sid = store.node_id(source)
+                if sid is not None:
+                    walked.append(sid)
+                elif nullable and (
+                    target_names is None or source in target_names
+                ):
+                    # node outside the graph: no walk but the empty one
+                    outside.append(source)
         else:
-            bfs_hits = resolved.bfs_hits
-            for sid in productive:
-                source = names[sid]
-                for nid in bfs_hits(sid):
-                    name = names[nid]
-                    if target_filter is None or name in target_filter:
-                        answers.add((source, name))
-        return answers
+            walked = resolved.productive(self.start_mask)
+            if nullable:
+                # the empty walk of every node without a productive
+                # first edge; the productive ones answer (u, u) below
+                seeded = set(walked)
+                heads.extend(
+                    nid
+                    for nid in (
+                        range(store.node_count()) if wanted is None else wanted
+                    )
+                    if nid not in seeded
+                )
+                tails.extend(heads)
+            if not resolved.chain:
+                head, tail = heads.append, tails.append
+                for start in range(0, len(walked), _BATCH_SOURCES):
+                    batch = walked[start : start + _BATCH_SOURCES]
+                    final = self._all_pairs_propagate(batch, resolved.entries)
+                    if wanted is not None:
+                        final = {
+                            nid: final[nid] for nid in wanted if nid in final
+                        }
+                    for nid, mask in final.items():
+                        while mask:
+                            low = mask & -mask
+                            head(batch[low.bit_length() - 1])
+                            tail(nid)
+                            mask ^= low
+                return heads, tails, outside
+        bfs_hits = resolved.bfs_hits
+        for sid in walked:
+            hits = bfs_hits(sid)
+            if nullable:
+                hits.add(sid)
+            if wanted is not None:
+                hits &= wanted
+            heads.extend(repeat(sid, len(hits)))
+            tails.extend(hits)
+        return heads, tails, outside
 
     def _all_pairs_propagate(
-        self,
-        names: List[str],
-        productive: List[int],
-        entries: _Entries,
-        target_filter: Opt[Set[str]],
-        answers: Set[Tuple[str, str]],
-    ) -> None:
+        self, productive: List[int], entries: _Entries
+    ) -> Dict[int, int]:
         """Level-synchronous multi-source BFS over the product graph,
-        grouped per automaton state (MS-BFS, Then et al., VLDB 2014).
+        grouped per automaton state (MS-BFS, Then et al., VLDB 2014):
+        maps each node reached in a final state to the mask of the
+        sources that reach it, ``productive[i]`` owning bit ``i``.
 
-        Productive source ``productive[i]`` owns bit ``i``.  ``reached[q]``
-        maps each node to the mask of sources that reach it in state
-        ``q``, and ``frontier[q]`` to the bits it newly gained there in
-        the last level.  A level runs each state's frontier through each
-        of that state's entries with one adjacency lookup per node, so
-        the n per-source BFS runs of the reference collapse into integer
-        ORs, and each source bit enters each (node, state) vertex once.
-        A state with no entries keeps no frontier: its gains only answer."""
+        ``reached[q]`` maps each node to the mask of sources that reach
+        it in state ``q``, and ``frontier[q]`` to the bits it newly
+        gained there in the last level.  A level runs each state's
+        frontier through each of that state's entries with one adjacency
+        lookup per node, so the n per-source BFS runs of the reference
+        collapse into integer ORs, and each source bit enters each
+        (node, state) vertex once.  A state with no entries keeps no
+        frontier: its gains only answer.  The final states' masks are
+        ORed per node, so no pair is read twice."""
         num_states = self.num_states
         seeds = {sid: 1 << i for i, sid in enumerate(productive)}
         reached: List[Dict[int, int]] = [{} for _ in range(num_states)]
@@ -635,15 +793,16 @@ class CompiledRPQ:
                                     out[other] = out_get(other, 0) | (new ^ old)
             frontier = advanced
         # a seeded start vertex in a final state only occurs when the
-        # language is nullable, and those (u, u) pairs were added above,
-        # so reading the raw masks never invents an answer
-        sources = [names[sid] for sid in productive]
-        for q in _iter_bits(self.finals_mask):
-            for nid, mask in reached[q].items():
-                name = names[nid]
-                if target_filter is None or name in target_filter:
-                    for position in _iter_bits(mask):
-                        answers.add((sources[position], name))
+        # language is nullable, where (u, u) answers anyway
+        levels = [reached[q] for q in _iter_bits(self.finals_mask) if reached[q]]
+        if len(levels) == 1:
+            return levels[0]
+        final: Dict[int, int] = {}
+        final_get = final.get
+        for level in levels:
+            for nid, mask in level.items():
+                final[nid] = final_get(nid, 0) | mask
+        return final
 
     # -- simple-path / trail search ------------------------------------------------
 

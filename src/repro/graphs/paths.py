@@ -70,6 +70,23 @@ def evaluate_rpq(
     return compile_rpq(expr).evaluate(store, sources, targets)
 
 
+def evaluate_rpq_json(
+    store: TripleStore,
+    expr: Regex,
+    sources: Opt[Iterable[str]] = None,
+    targets: Opt[Iterable[str]] = None,
+) -> Tuple[str, int]:
+    """:func:`evaluate_rpq`'s answer as the compact JSON text of its
+    sorted pair list, and the number of pairs: byte for byte
+    ``json.dumps(sorted(pairs), ensure_ascii=False, separators=(",",
+    ":"))``, made from node ids without building the set of pairs."""
+    if sources is not None:
+        sources = list(sources)
+        if not sources:
+            return "[]", 0
+    return compile_rpq(expr).evaluate_json(store, sources, targets)
+
+
 def evaluate_rpq_reference(
     store: TripleStore,
     expr: Regex,

@@ -128,13 +128,18 @@ RESULT_ENVELOPE_BYTES = 1024
 
 
 def encode_result(value: Any) -> EncodedResult:
-    """``value`` as the compact JSON text :func:`encode_frame` writes.
+    """``value`` as the compact JSON text :func:`encode_frame` writes;
+    an :class:`EncodedResult` is that text already and passes as it is.
 
     Raises :class:`~repro.errors.ResponseTooLarge` for a text that
     cannot fit a response frame under the current
     :data:`MAX_FRAME_BYTES` — checked where the answer is made, so no
     caller caches or ships it."""
-    result = EncodedResult(_compact(value))
+    result = (
+        value
+        if isinstance(value, EncodedResult)
+        else EncodedResult(_compact(value))
+    )
     limit = MAX_FRAME_BYTES - RESULT_ENVELOPE_BYTES
     # UTF-8 spends at most 4 bytes per character: only a long text pays
     # for the exact count

@@ -109,9 +109,14 @@ always carry the request id and — for compute operations —
 ``served_from: cache | engine``.
 
 Each compute answer is encoded to JSON exactly once, on the scheduler
-worker that computed it (:func:`~repro.service.protocol.encode_result`);
-an answer too large for a response frame fails there with the typed
-``response_too_large`` error on every front end, and is never cached.
+worker that computed it (:func:`~repro.service.protocol.encode_result`).
+For an unsharded walk that one encoding happens inside the engine:
+:func:`~repro.graphs.paths.evaluate_rpq_json` writes the sorted pairs
+as JSON text from node ids, with no set of pairs and no string sort,
+and ``encode_result`` passes that text through.
+Either way, an answer too large for a response frame fails there with
+the typed ``response_too_large`` error on every front end, and is never
+cached.
 The cache entry, single-flight followers and every response share that
 immutable :class:`~repro.service.protocol.EncodedResult` text: a cache
 hit is spliced into its frame without re-encoding, and
@@ -157,7 +162,14 @@ from ..errors import (
     XMLParseError,
 )
 from ..graphs.engine import ast_key, predicates_read
-from ..graphs.paths import evaluate_rpq, exists_simple_path, exists_trail
+# nothing here calls evaluate_rpq; it stays bound by name because
+# perfbench/layers.py patches it
+from ..graphs.paths import (
+    evaluate_rpq,
+    evaluate_rpq_json,
+    exists_simple_path,
+    exists_trail,
+)
 from ..graphs.rdf import TripleStore
 from ..logs.analyzer import encode_analysis, encode_report
 from ..logs.battery import analyze_query_fused
@@ -525,18 +537,24 @@ class ServiceCore:
             if sources is None and expr.nullable:
                 predicates = None
 
-            def fn() -> Dict[str, Any]:
+            def fn() -> Union[Dict[str, Any], EncodedResult]:
                 if sharded:
                     pairs = store.evaluate_walk(expr_text, sources, targets)
-                else:
-                    pairs = gate.read(
-                        lambda: evaluate_rpq(store, expr, sources, targets)
-                    )
-                return {
-                    "semantics": "walk",
-                    "pairs": sorted(pairs),
-                    "count": len(pairs),
-                }
+                    return {
+                        "semantics": "walk",
+                        "pairs": sorted(pairs),
+                        "count": len(pairs),
+                    }
+                # the engine writes the sorted pair list as JSON text
+                # itself, byte for byte what encoding the dict above
+                # gives
+                pairs_text, count = gate.read(
+                    lambda: evaluate_rpq_json(store, expr, sources, targets)
+                )
+                return EncodedResult(
+                    f'{{"semantics":"walk","pairs":{pairs_text},'
+                    f'"count":{count}}}'
+                )
 
         else:
             source, target = request.source, request.target

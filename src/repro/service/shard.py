@@ -314,9 +314,8 @@ def _task_evaluate_full(
     expr_text: str,
     sources: Opt[List[str]],
     targets: Opt[List[str]],
-) -> List[Tuple[str, str]]:
-    pairs = _compiled(expr_text).evaluate(_shard(image), sources, targets)
-    return sorted(pairs)
+) -> Set[Tuple[str, str]]:
+    return _compiled(expr_text).evaluate(_shard(image), sources, targets)
 
 
 def _task_search(
@@ -765,7 +764,7 @@ class ShardGroup:
                 sources,
                 targets,
             )
-            answers.update(tuple(pair) for pair in pairs)
+            answers.update(pairs)
             return answers
         # the expression spans shards: evaluate on the coordinator
         # union, whose diagonal is again a subset of the one above

@@ -541,6 +541,52 @@ def random_store_writes(
     return batches
 
 
+def random_walk_filters(
+    rng: random.Random,
+) -> Tuple[Opt[List[str]], Opt[List[str]]]:
+    """``(sources, targets)`` for a walk over an RPQ case's store: each
+    absent or a list, possibly empty or with repeats, drawn from the
+    case's nodes, ``f0`` (a node only writes add) and ``ghost`` (never
+    in the graph)."""
+    pool = _RPQ_NODES[:4] + ("f0", "ghost")
+
+    def draw() -> Opt[List[str]]:
+        if rng.random() < 0.5:
+            return None
+        return [rng.choice(pool) for _ in range(rng.randrange(0, 5))]
+
+    return draw(), draw()
+
+
+#: node names JSON must escape or carry as raw non-ASCII text: a quote,
+#: a backslash, a control character, an accented letter, U+2028 and an
+#: astral character
+_ESCAPED_NODES = (
+    'n"0', "n\\1", "n\x012", "n\u00e93", "n\u20284", "n\U0001d5485", 'n\\"6'
+)
+
+
+def escaped_node_names(rng: random.Random) -> Dict[str, str]:
+    """A renaming of the RPQ case nodes (``n0`` … ``n6``, fresh ``f*``
+    nodes, ``ghost``) onto names JSON must escape, in shuffled order, so
+    the escaped names sort differently from their plain originals."""
+    plain = list(_RPQ_NODES) + ["f0", "f1", "f2", "ghost"]
+    escaped = list(_ESCAPED_NODES) + ["f\t0", "\u00e9f1", "f2\u2028", "gh\\ost"]
+    rng.shuffle(escaped)
+    return dict(zip(plain, escaped))
+
+
+def rename_nodes(value: Any, renaming: Dict[str, str]) -> Any:
+    """``value`` — a node name or nested lists of names and predicates —
+    with every name in ``renaming`` renamed (predicate names are never
+    node names)."""
+    if isinstance(value, str):
+        return renaming.get(value, value)
+    if isinstance(value, list):
+        return [rename_nodes(item, renaming) for item in value]
+    return value
+
+
 # ---------------------------------------------------------------------------
 # SPARQL property paths and their corpus encoding
 # ---------------------------------------------------------------------------

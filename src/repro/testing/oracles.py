@@ -29,6 +29,7 @@ from ..errors import (
 )
 from ..graphs.paths import (
     evaluate_rpq,
+    evaluate_rpq_json,
     evaluate_rpq_reference,
     exists_simple_path,
     exists_simple_path_reference,
@@ -71,6 +72,7 @@ from ..trees.xml_parser import (
 )
 from .generators import (
     Event,
+    escaped_node_names,
     random_dtd_rules,
     random_edtd_rules,
     random_event_stream,
@@ -82,9 +84,11 @@ from .generators import (
     random_rpq_case,
     random_sparql_text,
     random_store_writes,
+    random_walk_filters,
     random_xml_document,
     regex_from_json,
     regex_to_json,
+    rename_nodes,
 )
 from .reference import (
     analyze_query,
@@ -426,6 +430,16 @@ class RPQOracle(Oracle):
                         f"walk divergence (sources={sources}, "
                         f"targets={targets}): engine-only="
                         f"{sorted(fast - ref)} reference-only={sorted(ref - fast)}"
+                    )
+                text = evaluate_rpq_json(store, expr, sources, targets)
+                wanted = _stdjson.dumps(
+                    sorted(ref), ensure_ascii=False, separators=(",", ":")
+                )
+                if text != (wanted, len(ref)):
+                    return (
+                        f"walk text divergence (sources={sources}, "
+                        f"targets={targets}): engine={text!r} "
+                        f"reference={(wanted, len(ref))!r}"
                     )
             return None
         if semantics == "simple":
@@ -771,6 +785,10 @@ def _read_predicates(expr: Regex) -> Set[str]:
     }
 
 
+#: the fields of a service rpq case that hold node names
+_NODE_FIELDS = ("triples", "writes", "source", "target", "sources", "targets")
+
+
 class ServiceOracle(Oracle):
     name = "service"
     description = (
@@ -794,10 +812,21 @@ class ServiceOracle(Oracle):
                 "target": case["target"],
                 "semantics": case["semantics"],
             }
+            if case["semantics"] == "walk":
+                generated["sources"], generated["targets"] = (
+                    random_walk_filters(rng)
+                )
             if rng.random() < 0.5:
                 generated["writes"] = random_store_writes(
                     rng, case["triples"], _read_predicates(expr)
                 )
+            if rng.random() < 0.3:
+                renaming = escaped_node_names(rng)
+                for field in _NODE_FIELDS:
+                    if field in generated:
+                        generated[field] = rename_nodes(
+                            generated[field], renaming
+                        )
             return generated
         kind = "sparql" if roll < 0.75 else "log"
         return {"kind": kind, "query": random_sparql_text(rng)}
@@ -828,7 +857,9 @@ class ServiceOracle(Oracle):
             except RegexParseError:
                 expr = None
             if expr is not None and not (
-                case["semantics"] == "walk" and expr.nullable
+                case["semantics"] == "walk"
+                and case.get("sources") is None
+                and expr.nullable
             ):
                 scope = _read_predicates(expr)
         async with EmbeddedService({"g": store}) as service:
@@ -874,9 +905,16 @@ class ServiceOracle(Oracle):
         label: str,
         served_wanted: List[str],
     ) -> Opt[str]:
+        from ..service.protocol import (
+            EncodedResult,
+            encode_result,
+            request as wire_request,
+        )
+
         kind = case["kind"]
+        expected, expected_error = self._expected(case, store)
         responses = []
-        for _ in range(2):
+        for which in ("first ask", "second ask"):
             if kind == "rpq":
                 params = {
                     "store": "g",
@@ -886,18 +924,35 @@ class ServiceOracle(Oracle):
                 if case["semantics"] != "walk":
                     params["source"] = case["source"]
                     params["target"] = case["target"]
-                responses.append(await service.request("rpq", params))
-            else:
-                responses.append(
-                    await service.request(kind, {"query": case["query"]})
+                for field in ("sources", "targets"):
+                    if case.get(field) is not None:
+                        params[field] = case[field]
+                # the raw response: its result text must be byte for
+                # byte what encoding the direct answer gives
+                response = await service.core.handle(
+                    wire_request(which, "rpq", params)
                 )
-        expected, expected_error = self._expected(case, store)
-        for which, response in zip(("first ask", "second ask"), responses):
+                text = response.get("result")
+                if isinstance(text, EncodedResult):
+                    if expected_error is None and text != encode_result(
+                        expected
+                    ):
+                        return (
+                            f"{label}{which}: result text diverges: "
+                            f"service={text!r} "
+                            f"direct={encode_result(expected)!r}"
+                        )
+                    response["result"] = _stdjson.loads(text)
+            else:
+                response = await service.request(
+                    kind, {"query": case["query"]}
+                )
             message = self._compare(
                 f"{label}{which}", response, expected, expected_error
             )
             if message is not None:
                 return message
+            responses.append(response)
         served = [r.get("served_from") for r in responses]
         if expected_error is None and served != served_wanted:
             return f"{label}served_from sequence {served}, wanted {served_wanted}"
@@ -924,7 +979,9 @@ class ServiceOracle(Oracle):
             except RegexParseError:
                 return None, BadRequest.code
             if case["semantics"] == "walk":
-                pairs = evaluate_rpq(store, expr)
+                pairs = evaluate_rpq(
+                    store, expr, case.get("sources"), case.get("targets")
+                )
                 return {
                     "semantics": "walk",
                     "pairs": sorted(list(pair) for pair in pairs),
@@ -1007,6 +1064,12 @@ class ServiceOracle(Oracle):
                 smaller = list(case["triples"])
                 del smaller[index]
                 yield {**case, "triples": smaller}
+            for field in ("sources", "targets"):
+                nodes = case.get(field)
+                if nodes is not None:
+                    yield {**case, field: None}
+                    for index in range(len(nodes)):
+                        yield {**case, field: nodes[:index] + nodes[index + 1 :]}
             for text in text_candidates(case["expr"]):
                 yield {**case, "expr": text}
         else:

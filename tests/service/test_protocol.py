@@ -116,6 +116,20 @@ def test_a_result_without_room_for_its_envelope_is_refused(monkeypatch):
         encode_result("é" * (room // 2))
 
 
+def test_an_encoded_result_passes_through_its_frame_check(monkeypatch):
+    from repro.service import protocol
+
+    text = EncodedResult('{"semantics":"walk","pairs":[["a","b"]],"count":1}')
+    assert encode_result(text) is text
+    # a walk answer written by the engine still meets the frame bound
+    monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 4096)
+    pairs = ",".join(f'["n{i}","n{i + 1}"]' for i in range(400))
+    with pytest.raises(ResponseTooLarge):
+        encode_result(
+            EncodedResult(f'{{"semantics":"walk","pairs":[{pairs}],"count":400}}')
+        )
+
+
 def test_clean_eof_between_frames_is_none():
     assert read_all(b"") == []
 

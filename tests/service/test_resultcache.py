@@ -264,7 +264,7 @@ def test_a_read_overlapping_a_write_to_its_predicate_is_never_served_again(
 
     from repro.service import EmbeddedService, ServiceConfig, server
 
-    real_evaluate = server.evaluate_rpq
+    real_evaluate = server.evaluate_rpq_json
     ask = {"store": "g", "expr": "p+"}
 
     async def read_holds_the_gate():
@@ -275,7 +275,7 @@ def test_a_read_overlapping_a_write_to_its_predicate_is_never_served_again(
             assert release.wait(10)
             return real_evaluate(*args, **kwargs)
 
-        monkeypatch.setattr(server, "evaluate_rpq", blocking_evaluate)
+        monkeypatch.setattr(server, "evaluate_rpq_json", blocking_evaluate)
         config = ServiceConfig(max_workers=2)
         async with EmbeddedService({"g": _pq_store()}, config) as service:
             read = asyncio.ensure_future(service.request("rpq", ask))
@@ -290,7 +290,7 @@ def test_a_read_overlapping_a_write_to_its_predicate_is_never_served_again(
             assert ["c", "d"] not in old["pairs"]
             served, new = _served(await service.request("rpq", ask))
             assert served == "engine" and ["c", "d"] in new["pairs"]
-        monkeypatch.setattr(server, "evaluate_rpq", real_evaluate)
+        monkeypatch.setattr(server, "evaluate_rpq_json", real_evaluate)
 
     async def write_holds_the_gate():
         store = _pq_store()
