@@ -411,7 +411,8 @@ class _NameOrder(NamedTuple):
     name order.  Sorting pairs of names is sorting pairs of ranks.
 
     Node ids only grow, so a write extends the table instead of
-    rebuilding it: only new names are encoded and placed in the order.
+    rebuilding it: only new names are encoded, and they are merged into
+    the order.
     A published table is never changed — readers walking under the
     store's shared gate at once may each extend the table they read
     and publish theirs; every one of them is valid."""
@@ -425,21 +426,12 @@ class _NameOrder(NamedTuple):
         count = len(names)
         fresh = range(len(self.texts), count)
         name_of = names.__getitem__
-        new_texts = [encode_basestring(names[nid]) for nid in fresh]
-        texts = self.texts + new_texts
-        if len(fresh) * 32 > count:
-            # many new names: one sort, merging them into the order
-            order = self.order + sorted(fresh, key=name_of)
-            order.sort(key=name_of)
-            ordered_texts = list(map(texts.__getitem__, order))
-        else:
-            # a few (the common write): insert each in its place
-            order = self.order.copy()
-            ordered_texts = self.ordered_texts.copy()
-            for nid, text in zip(fresh, new_texts):
-                position = bisect_left(order, names[nid], key=name_of)
-                order.insert(position, nid)
-                ordered_texts.insert(position, text)
+        texts = self.texts + [encode_basestring(names[nid]) for nid in fresh]
+        # the old order and the sorted new ids are two sorted runs, which
+        # one Timsort pass merges
+        order = self.order + sorted(fresh, key=name_of)
+        order.sort(key=name_of)
+        ordered_texts = list(map(texts.__getitem__, order))
         rank = [0] * count
         for position, nid in enumerate(order):
             rank[nid] = position

@@ -11,7 +11,7 @@ import random
 import sys
 import threading
 
-from repro.graphs.engine import _name_order, compile_rpq
+from repro.graphs.engine import _name_order, _NameOrder, compile_rpq
 from repro.graphs.paths import (
     evaluate_rpq,
     evaluate_rpq_json,
@@ -164,6 +164,23 @@ class TestNameOrderTable:
         names = store.node_names()
         assert [names[nid] for nid in after.order] == sorted(names)
         assert all(after.order[after.rank[nid]] == nid for nid in range(len(names)))
+
+    def test_a_bulk_write_extends_the_table_like_a_fresh_build(self):
+        rng = random.Random(62)
+        store = labeled_powerlaw_store(rng, 50)
+        _name_order(store)
+        # more new names than the store had between two walks, falling
+        # before, between and after the old ones
+        for i in range(400):
+            name = f"{rng.choice(ESCAPED + ['', 'v', 'w'])}{i}"
+            store.add(name, rng.choice("abc"), rng.choice(["v0", name]))
+        grown = _name_order(store)
+        names = store.node_names()
+        rebuilt = _NameOrder([], [], [], []).extended(names)
+        assert grown == rebuilt
+        assert [names[nid] for nid in grown.order] == sorted(names)
+        for expr in EXPRS:
+            assert_text_matches(store, expr)
 
     def test_concurrent_walks_over_a_grown_store(self):
         # every reader finds the table short and extends it at once; each
